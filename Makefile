@@ -9,7 +9,7 @@ FUZZ_TARGETS_WAL := FuzzWALReplay
 # Segment fuzz targets (seed corpus under internal/segment/testdata/fuzz/).
 FUZZ_TARGETS_SEGMENT := FuzzSegmentReader
 
-.PHONY: build vet test short race chaos fuzz corpus serve-smoke ingest-smoke wal-smoke adaptive-smoke segment-smoke warp-smoke bench-smoke
+.PHONY: build vet test short race chaos fuzz corpus serve-smoke ingest-smoke wal-smoke adaptive-smoke segment-smoke warp-smoke bench-smoke bench-e2e loc
 
 # The chaos suite: fault injection, failure detection and recovery tests
 # across the transport, scheduler, distributed-cube and POL layers. Every
@@ -131,7 +131,7 @@ segment-smoke:
 # The HTTP-edge correctness surface under -race: the httpserve unit and
 # golden wire-format suite (admission, batching, streaming, cancellation),
 # the root-package metrics-monotonicity tests (CacheMetrics/CuboidStats/
-# ColdMetrics hammered by readers while queries and commits run), the
+# ColdCube.Metrics hammered by readers while queries and commits run), the
 # cubewarp harness's own tests, and a short live cubewarp sweep — Zipf
 # query mix, durable mutations, cell-for-cell differential on sampled
 # responses, batching-on/off derivation check — whose p50/p99/p999
@@ -152,3 +152,18 @@ warp-smoke:
 bench-smoke:
 	go test -run xxx -bench 'BenchmarkFig|BenchmarkSec5_1|BenchmarkServe|BenchmarkAdaptive|BenchmarkCommit|BenchmarkIngest|BenchmarkWAL|BenchmarkRecover|BenchmarkSegment|BenchmarkSpill' -benchmem -benchtime 1x -timeout 30m . | \
 		go run ./cmd/benchguard -strict -out BENCH_$$(date +%F).json -baseline bench/baseline.json
+
+# One run of the repo's end-to-end benchmark (BENCHMARK.json): builds into
+# the git-ignored .bench_build/ and prints every gated metric. Pick the
+# workload and the op-sequence seed; BENCH_ARGS passes anything else
+# through (e.g. BENCH_ARGS='-json run.jsonl' to collect runs for
+# `go run ./benchmark -compare parent.jsonl change.jsonl`).
+WORKLOAD ?= serve_hot
+SEED ?= 1
+bench-e2e:
+	bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 10 $(BENCH_ARGS)
+
+# Non-test Go lines outside benchmark/ — the number ROADMAP aim 2 and the
+# simplicity PRs report.
+loc:
+	@git ls-files '*.go' ':!*_test.go' ':!benchmark' | xargs cat | wc -l

@@ -72,8 +72,12 @@ func validateFlags(o options) error {
 	if o.memlimit > 0 && o.segdir == "" {
 		return fmt.Errorf("-memlimit only applies to the out-of-core computation over a segment table: add -segdir DIR")
 	}
-	if o.policy != "" && o.policy != string(icebergcube.CacheLRU) && o.waldir == "" && o.httpA == "" {
+	nonDefaultPolicy := o.policy != "" && o.policy != string(icebergcube.CacheLRU)
+	if nonDefaultPolicy && o.waldir == "" && o.httpA == "" {
 		return fmt.Errorf("-policy %s needs a serving mode: add -waldir DIR or -http ADDR", o.policy)
+	}
+	if nonDefaultPolicy && o.segdir != "" && o.httpA != "" {
+		return fmt.Errorf("-policy %s does not apply to the cold tier that -segdir with -http serves (it has no policy setting yet): drop -policy", o.policy)
 	}
 	if o.waldir != "" && o.segdir != "" {
 		return fmt.Errorf("-waldir and -segdir select different storage tiers: pass one")

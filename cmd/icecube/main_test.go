@@ -42,6 +42,7 @@ func TestValidateFlags(t *testing.T) {
 	}{
 		{options{memlimit: 1 << 20}, "-segdir"},
 		{options{policy: "adaptive"}, "serving mode"},
+		{options{segdir: "/tmp/seg", httpA: ":8080", policy: "adaptive"}, "cold tier"},
 		{options{waldir: "/tmp/wal", segdir: "/tmp/seg"}, "one"},
 		{options{batchWindow: time.Millisecond}, "-http"},
 		{options{httpA: ":8080", batchWindow: -time.Second}, ">= 0"},

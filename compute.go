@@ -2,14 +2,13 @@ package icebergcube
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"icebergcube/internal/agg"
 	"icebergcube/internal/core"
 	"icebergcube/internal/cost"
-	"icebergcube/internal/lattice"
 	"icebergcube/internal/results"
+	"icebergcube/internal/serve"
 )
 
 // Algorithm selects one of the paper's parallel iceberg-cube algorithms.
@@ -83,11 +82,8 @@ type Cell struct {
 
 // Result is a computed iceberg cube.
 type Result struct {
-	ds    *Dataset
-	dims  []int
-	set   *results.Set
-	attrs []string
-	pos   map[string]int // attribute name → cube position
+	schema // the cube dimensions, in cube order
+	set    *results.Set
 
 	// Algorithm that produced the cube.
 	Algorithm Algorithm
@@ -157,18 +153,14 @@ func Compute(ds *Dataset, q Query) (*Result, error) {
 		return nil, err
 	}
 	attrs := make([]string, len(dims))
-	pos := make(map[string]int, len(dims))
 	for i, d := range dims {
 		attrs[i] = ds.rel.Name(d)
-		pos[attrs[i]] = i
 	}
+	decode := func(p int, code uint32) string { return ds.decode(dims[p], code) }
 	tot := rep.Totals()
 	return &Result{
-		ds:           ds,
-		dims:         dims,
+		schema:       newSchema(attrs, resultNoun, decode),
 		set:          set,
-		attrs:        attrs,
-		pos:          pos,
 		Algorithm:    q.Algorithm,
 		Makespan:     rep.Makespan,
 		WorkerLoads:  rep.Loads(),
@@ -183,66 +175,26 @@ func (r *Result) NumCells() int { return r.set.NumCells() }
 // NumCuboids returns the number of non-empty group-bys (out of 2^d).
 func (r *Result) NumCuboids() int { return r.set.NumCuboids() }
 
-// maskFor resolves a GROUP BY attribute list to a cuboid mask, rejecting
-// unknown and duplicate attributes.
-func (r *Result) maskFor(groupBy []string) (lattice.Mask, []int, error) {
-	var mask lattice.Mask
-	pos := make([]int, 0, len(groupBy))
-	for _, name := range groupBy {
-		p, ok := r.pos[name]
-		if !ok {
-			return 0, nil, fmt.Errorf("icebergcube: %q is not a cube dimension of this result", name)
-		}
-		if mask.Has(p) {
-			return 0, nil, fmt.Errorf("icebergcube: duplicate group-by attribute %q", name)
-		}
-		mask |= 1 << uint(p)
-		pos = append(pos, p)
-	}
-	return mask, pos, nil
-}
+// resultNoun is what group-by errors call a dimension of a Result.
+const resultNoun = "cube dimension of this result"
 
 // Cuboid returns the qualifying cells of one group-by, sorted by value
-// tuple. An empty groupBy returns the "all" cell.
+// tuple — the canonical cell order shared with Materialized.Answer. An
+// empty groupBy returns the "all" cell.
 func (r *Result) Cuboid(groupBy ...string) ([]Cell, error) {
-	mask, _, err := r.maskFor(groupBy)
+	order, mask, err := r.resolveGroupBy(groupBy)
 	if err != nil {
 		return nil, err
 	}
-	raw := r.set.Cuboid(mask)
-	pos := mask.Dims()
-	attrs := make([]string, len(pos))
-	for i, p := range pos {
-		attrs[i] = r.attrs[p]
-	}
-	cells := make([]Cell, 0, len(raw))
-	keys := make([]string, 0, len(raw))
-	for k := range raw {
-		keys = append(keys, k)
-	}
-	// Ascending value-tuple order — the canonical cell order shared with
-	// Materialized.Answer.
-	sort.Slice(keys, func(a, b int) bool {
-		return results.CompareTuples(results.DecodeKey(keys[a]), results.DecodeKey(keys[b])) < 0
+	keys, states := r.set.CuboidColumns(mask)
+	cub := &serve.Cuboid{Mask: mask, Width: len(order), Keys: keys, States: states}
+	cells := make([]Cell, 0, len(states))
+	// Every stored cell already met the query's condition.
+	err = r.eachCell(cub, 1, func(c Cell) error {
+		cells = append(cells, c)
+		return nil
 	})
-	for _, k := range keys {
-		st := raw[k]
-		codes := results.DecodeKey(k)
-		values := make([]string, len(codes))
-		for i, c := range codes {
-			values[i] = r.ds.decode(r.dims[pos[i]], c)
-		}
-		cells = append(cells, Cell{
-			Attrs:  attrs,
-			Values: values,
-			Count:  st.Count,
-			Sum:    st.Value(agg.Sum),
-			Min:    st.Value(agg.Min),
-			Max:    st.Value(agg.Max),
-			Avg:    st.Value(agg.Avg),
-		})
-	}
-	return cells, nil
+	return cells, err
 }
 
 // Get returns the cell of a group-by with specific values (decoded

@@ -59,15 +59,7 @@ func recoverMaterialized(ds *Dataset, dims []string, fsys wal.FS, dir string, op
 	if err != nil {
 		return nil, err
 	}
-	attrs := make([]string, len(idx))
-	pos := make(map[string]int, len(idx))
-	ext := make([]extDim, len(idx))
-	for i, d := range idx {
-		attrs[i] = ds.rel.Name(d)
-		pos[attrs[i]] = i
-		ext[i] = extDim{base: ds.rel.Card(d), codes: make(map[string]uint32)}
-	}
-	m := &Materialized{ds: ds, dims: idx, attrs: attrs, pos: pos, ext: ext}
+	m := newMaterialized(ds, idx)
 	cube, err := ingest.Recover(fsys, dir, 0, opt, func(payload []byte) error {
 		p, code, val, err := decodeDictExt(payload)
 		if err != nil {

@@ -9,8 +9,8 @@ import (
 // Backend is the slice of the serving stack the HTTP front-end needs:
 // dimension names for request validation, a streaming answer path, and
 // enough observability to report batching effectiveness. Both the warm
-// (Materialized) and cold (ColdCube) tiers satisfy it through thin
-// adapters, so one front-end serves either.
+// (Materialized) and cold (ColdCube) tiers satisfy it through one
+// adapter, so one front-end serves either.
 type Backend interface {
 	// Attrs returns the cube's dimension names in canonical order.
 	Attrs() []string
@@ -38,65 +38,57 @@ type Mutator interface {
 	Commit() (icebergcube.Snapshot, error)
 }
 
-// warmBackend adapts *icebergcube.Materialized.
-type warmBackend struct {
-	m *icebergcube.Materialized
+// cube is what both serving tiers expose identically.
+type cube interface {
+	Attrs() []string
+	AnswerEach(ctx context.Context, groupBy []string, minSupport int64, yield func(icebergcube.Cell) error) (icebergcube.ServeStats, error)
+	ResetCache()
+}
+
+// adapter is the one Backend implementation, over either tier.
+type adapter struct {
+	cube
+	metrics func() icebergcube.CacheMetrics
+	// warm is the write side and the version source; nil over a segment
+	// table, which is read-only at version 0.
+	warm *icebergcube.Materialized
 }
 
 // Warm wraps a materialized cube as an HTTP backend. The returned value
 // also implements Mutator, so the front-end serves the durable write
 // path.
-func Warm(m *icebergcube.Materialized) Backend { return warmBackend{m} }
+func Warm(m *icebergcube.Materialized) Backend { return adapter{m, m.CacheMetrics, m} }
 
-func (w warmBackend) Attrs() []string { return w.m.Attrs() }
+// Cold wraps a flushed segment table as a read-only HTTP backend: the
+// adapter's write side is hidden, so New never enables /v1/mutate on it.
+func Cold(c *icebergcube.ColdCube) Backend { return struct{ Backend }{adapter{c, c.Metrics, nil}} }
 
-func (w warmBackend) Version() uint64 { return w.m.Version() }
+func (a adapter) Version() uint64 {
+	if a.warm == nil {
+		return 0
+	}
+	return a.warm.Version()
+}
 
-func (w warmBackend) AnswerEach(ctx context.Context, groupBy []string, minSupport int64, yield func(icebergcube.Cell) error) (uint64, error) {
-	st, err := w.m.AnswerEach(ctx, groupBy, minSupport, yield)
+func (a adapter) AnswerEach(ctx context.Context, groupBy []string, minSupport int64, yield func(icebergcube.Cell) error) (uint64, error) {
+	st, err := a.cube.AnswerEach(ctx, groupBy, minSupport, yield)
 	if err != nil {
 		return 0, err
 	}
 	return st.Version, nil
 }
 
-func (w warmBackend) Derivations() int64 {
-	cm := w.m.CacheMetrics()
+func (a adapter) Derivations() int64 {
+	cm := a.metrics()
 	return cm.LeafAggregations + cm.AncestorAggregations
 }
 
-func (w warmBackend) ResetCache() { w.m.ResetCache() }
-
-func (w warmBackend) Append(rows [][]string, measures []float64) error {
-	return w.m.Append(rows, measures)
+func (a adapter) Append(rows [][]string, measures []float64) error {
+	return a.warm.Append(rows, measures)
 }
 
-func (w warmBackend) Delete(rows [][]string, measures []float64) error {
-	return w.m.Delete(rows, measures)
+func (a adapter) Delete(rows [][]string, measures []float64) error {
+	return a.warm.Delete(rows, measures)
 }
 
-func (w warmBackend) Commit() (icebergcube.Snapshot, error) { return w.m.Commit() }
-
-// coldBackend adapts *icebergcube.ColdCube (read-only, single version).
-type coldBackend struct {
-	c *icebergcube.ColdCube
-}
-
-// Cold wraps a flushed segment table as a read-only HTTP backend.
-func Cold(c *icebergcube.ColdCube) Backend { return coldBackend{c} }
-
-func (cb coldBackend) Attrs() []string { return cb.c.Attrs() }
-
-func (cb coldBackend) Version() uint64 { return 0 }
-
-func (cb coldBackend) AnswerEach(ctx context.Context, groupBy []string, minSupport int64, yield func(icebergcube.Cell) error) (uint64, error) {
-	_, err := cb.c.AnswerEach(ctx, groupBy, minSupport, yield)
-	return 0, err
-}
-
-func (cb coldBackend) Derivations() int64 {
-	m := cb.c.Metrics()
-	return m.ColdScans + m.AncestorAggregations
-}
-
-func (cb coldBackend) ResetCache() { cb.c.ResetCache() }
+func (a adapter) Commit() (icebergcube.Snapshot, error) { return a.warm.Commit() }

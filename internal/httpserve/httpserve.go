@@ -12,6 +12,7 @@ package httpserve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -89,6 +90,11 @@ type ServerMetrics struct {
 	Derivations int64  `json:"derivations"`
 	Version     uint64 `json:"version"`
 }
+
+// maxMutateBody caps a POST /v1/mutate body. A batch is held in memory
+// three times over (JSON, rows, encoded delta) before it commits, so the
+// cap bounds what one request can pin; 8 MiB is tens of thousands of rows.
+const maxMutateBody = 8 << 20
 
 // errorBody is every non-200 JSON body.
 type errorBody struct {
@@ -288,7 +294,12 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req MutateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMutateBody)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("mutate body exceeds %d bytes", maxMutateBody))
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad mutate body: "+err.Error())
 		return
 	}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	icebergcube "icebergcube"
+	"icebergcube/internal/wal"
 )
 
 // fixtureCube builds a small three-dimensional cube with enough repeated
@@ -407,6 +408,65 @@ func TestMutationsDisabled(t *testing.T) {
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("status %d, want 405", rec.Code)
+	}
+}
+
+// TestMutateBodyTooLarge: a mutate body over the cap is refused with 413
+// before any of it is applied, however well-formed it is.
+func TestMutateBodyTooLarge(t *testing.T) {
+	s, m := newTestServer(t, Config{})
+	v0, cells0 := m.Version(), m.NumCells()
+	row := []byte(`{"values":["tesla","1991","red"],"measure":1},`)
+	var body bytes.Buffer
+	body.WriteString(`{"commit":true,"appends":[`)
+	for body.Len() <= maxMutateBody {
+		body.Write(row)
+	}
+	body.Truncate(body.Len() - 1) // trailing comma
+	body.WriteString(`]}`)
+	req := httptest.NewRequest("POST", "/v1/mutate", &body)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %s", rec.Code, rec.Body)
+	}
+	if m.Version() != v0 || m.NumCells() != cells0 {
+		t.Fatalf("oversized body was applied: version %d→%d, cells %d→%d", v0, m.Version(), cells0, m.NumCells())
+	}
+}
+
+// TestColdBackendIsReadOnly: the cold tier goes through the same adapter
+// as the warm one but never exposes its write side, even when the server
+// is configured to allow mutations; queries match the warm tier's bytes.
+func TestColdBackendIsReadOnly(t *testing.T) {
+	m := fixtureCube(t)
+	fsys := wal.NewMemFS()
+	if err := m.FlushSegmentsFS(fsys, "cube"); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := icebergcube.OpenColdFS(fsys, "cube", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Backend: Cold(cold), AllowMutations: true})
+	req := httptest.NewRequest("POST", "/v1/mutate", bytes.NewReader([]byte(`{"commit":true}`)))
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	if rec.Code != http.StatusMethodNotAllowed {
+		t.Fatalf("cold mutate status %d, want 405", rec.Code)
+	}
+	want, err := EncodeQuery(context.Background(), Warm(m), []string{"Model", "Year"}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := get(t, s, "/v1/query?group_by=Model,Year&min_support=2", nil)
+	// The cold tier serves version 0, the warm fixture version 1.
+	wantCold := bytes.Replace(want, []byte(`"version":1`), []byte(`"version":0`), 1)
+	if got.Code != 200 || !bytes.Equal(got.Body.Bytes(), wantCold) {
+		t.Fatalf("cold body differs from warm:\n%s\n%s", got.Body, wantCold)
+	}
+	if d := s.Metrics().Derivations; d != 1 {
+		t.Fatalf("Derivations = %d after one cold scan, want 1", d)
 	}
 }
 

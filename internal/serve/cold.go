@@ -3,8 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"icebergcube/internal/agg"
 	"icebergcube/internal/lattice"
@@ -16,7 +14,8 @@ import (
 // (dense, in the order of dims) plus the measure, chunk by chunk; a nil
 // dims requests no dimension columns (the "all" roll-up reads measures
 // only). Implementations choose the chunk size; the server never retains
-// yielded slices across calls.
+// yielded slices across calls. Scan must stop and return the error when
+// yield returns one (that is how a cancelled query aborts the read).
 type ColdSource interface {
 	// Width is the number of leaf dimensions.
 	Width() int
@@ -26,80 +25,6 @@ type ColdSource interface {
 	Scan(dims []int, yield func(cols [][]uint32, meas []float64) error) error
 }
 
-// ColdQueryStats describes how one cold-tier query was served.
-type ColdQueryStats struct {
-	// Query is the requested group-by.
-	Query lattice.Mask
-	// ServedFrom is the resident ancestor aggregated on a warm miss, the
-	// query itself on a hit or a cold scan.
-	ServedFrom lattice.Mask
-	// CacheHit reports the answer was resident.
-	CacheHit bool
-	// Coalesced reports the query waited on an identical in-flight miss.
-	Coalesced bool
-	// ColdScan reports the answer was aggregated from the segment store
-	// (no resident ancestor covered the query).
-	ColdScan bool
-	// RowsScanned is the number of cold rows streamed (0 unless ColdScan).
-	RowsScanned int64
-	// CellsScanned is the number of ancestor cells aggregated on a warm
-	// miss (0 on a hit or cold scan).
-	CellsScanned int
-	// ResultCells is the answer cuboid's cell count.
-	ResultCells int
-	// Admitted reports the computed cuboid was retained in the cache.
-	Admitted bool
-}
-
-// ColdMetrics are the cold server's cumulative counters.
-type ColdMetrics struct {
-	Queries              int64
-	CacheHits            int64
-	Coalesced            int64
-	Canceled             int64
-	ColdScans            int64
-	AncestorAggregations int64
-	RowsScanned          int64
-	ResidentBytes        int64
-	ResidentCuboids      int
-	BudgetBytes          int64
-}
-
-// ColdServer answers group-by queries with the leaf left on disk. It is
-// the tier below Server: where Server pins the whole finest cuboid in
-// memory and derives everything from it, ColdServer holds only the
-// byte-budgeted cache of computed cuboids and falls back to streaming the
-// columnar segment store when no resident ancestor covers a query. A cold
-// scan reads just the queried columns (columnar projection) and folds
-// each chunk into a sorted, merged partial cuboid, so peak memory is the
-// result size plus one chunk — never the leaf. Safe for concurrent use.
-type ColdServer struct {
-	src   ColdSource
-	cards []int
-	full  lattice.Mask // all leaf dimensions
-	cache *cache
-
-	mu       sync.Mutex
-	inflight map[lattice.Mask]*coldFlight
-
-	scratch sync.Pool // *relation.Scratch
-
-	queries     atomic.Int64
-	hits        atomic.Int64
-	coalesced   atomic.Int64
-	canceled    atomic.Int64
-	coldScans   atomic.Int64
-	ancAggs     atomic.Int64
-	rowsScanned atomic.Int64
-}
-
-type coldFlight struct {
-	done  chan struct{}
-	cub   *Cuboid
-	stats ColdQueryStats
-	err   error
-}
-
 // chunkMask is the sentinel mask carried by the per-chunk staging cuboid
 // handed to aggregateFrom. It only needs to differ from every real query
 // mask (aggregateFrom short-circuits on mask equality, and a raw unsorted
@@ -107,12 +32,17 @@ type coldFlight struct {
 // query because queries are subsets of the leaf width.
 const chunkMask = ^lattice.Mask(0)
 
-// NewColdServer builds a cold-tier server over src. cards gives the code
+// coldLeaf is the streamed leaf source: the finest cuboid stays in a
+// ColdSource and is aggregated straight off it, one projected chunk at a
+// time, so peak memory is the result size plus one chunk — never the leaf.
+type coldLeaf struct{ src ColdSource }
+
+// NewColdServer builds a server whose leaf stays in src: it holds only the
+// byte-budgeted cache of computed cuboids and falls back to streaming the
+// store when no resident ancestor covers a query. cards gives the code
 // cardinality of each leaf dimension; budgetBytes ≤ 0 selects
-// DefaultBudgetBytes. Eviction is plain LRU — the adaptive planner needs
-// the demand model Server keeps, and the cold tier's point is to stay
-// cheap.
-func NewColdServer(src ColdSource, cards []int, budgetBytes int64) (*ColdServer, error) {
+// DefaultBudgetBytes.
+func NewColdServer(src ColdSource, cards []int, budgetBytes int64) (*Server, error) {
 	w := src.Width()
 	if w != len(cards) {
 		return nil, fmt.Errorf("serve: cold source has %d dims but %d cardinalities", w, len(cards))
@@ -120,177 +50,24 @@ func NewColdServer(src ColdSource, cards []int, budgetBytes int64) (*ColdServer,
 	if w <= 0 || w >= 32 {
 		return nil, fmt.Errorf("serve: cold source width %d out of range", w)
 	}
-	if budgetBytes <= 0 {
-		budgetBytes = DefaultBudgetBytes
-	}
-	s := &ColdServer{
-		src:      src,
-		cards:    append([]int(nil), cards...),
-		full:     (1 << uint(w)) - 1,
-		cache:    newCache(budgetBytes),
-		inflight: make(map[lattice.Mask]*coldFlight),
-	}
-	s.scratch.New = func() any { return relation.NewScratch() }
-	return s, nil
+	return newServer(coldLeaf{src}, (1<<uint(w))-1, cards, budgetBytes), nil
 }
 
-// Query returns the cuboid for group-by q (bit i = leaf dimension i). The
-// returned cuboid is immutable and remains valid after eviction.
-func (s *ColdServer) Query(q lattice.Mask) (*Cuboid, ColdQueryStats, error) {
-	return s.QueryCtx(context.Background(), q)
-}
+func (c coldLeaf) pinned() *Cuboid { return nil }
+func (c coldLeaf) rows() int       { return c.src.Rows() }
 
-// QueryCtx is Query with caller cancellation. The context is checked at
-// entry, before this query becomes the singleflight leader, while waiting
-// on a coalesced in-flight computation, and — unlike the warm server —
-// between the chunks of a cold scan: a cold scan is the one serving
-// operation long enough to be worth tearing down mid-way, so an abandoned
-// client stops burning disk reads. A leader cancelled mid-scan fails its
-// flight; coalesced waiters observe that error and may re-issue the query
-// (the next call starts a fresh flight).
-func (s *ColdServer) QueryCtx(ctx context.Context, q lattice.Mask) (*Cuboid, ColdQueryStats, error) {
-	if !q.SubsetOf(s.full) {
-		return nil, ColdQueryStats{}, fmt.Errorf("serve: mask %b is not a subset of the leaf %b", q, s.full)
-	}
-	if err := ctx.Err(); err != nil {
-		s.canceled.Add(1)
-		return nil, ColdQueryStats{}, err
-	}
-	s.queries.Add(1)
-	stats := ColdQueryStats{Query: q, ServedFrom: q}
-	if cub, ok := s.cache.get(q); ok {
-		s.hits.Add(1)
-		stats.CacheHit = true
-		stats.ResultCells = cub.Rows()
-		return cub, stats, nil
-	}
-
-	s.mu.Lock()
-	if f, ok := s.inflight[q]; ok {
-		s.mu.Unlock()
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			s.canceled.Add(1)
-			return nil, ColdQueryStats{}, ctx.Err()
-		}
-		if f.err != nil {
-			return nil, ColdQueryStats{}, f.err
-		}
-		s.coalesced.Add(1)
-		stats = f.stats
-		stats.Coalesced = true
-		return f.cub, stats, nil
-	}
-	if err := ctx.Err(); err != nil {
-		s.mu.Unlock()
-		s.canceled.Add(1)
-		return nil, ColdQueryStats{}, err
-	}
-	f := &coldFlight{done: make(chan struct{})}
-	s.inflight[q] = f
-	s.mu.Unlock()
-
-	cub, st, err := s.compute(ctx, q)
-	f.cub, f.stats, f.err = cub, st, err
-	s.mu.Lock()
-	delete(s.inflight, q)
-	s.mu.Unlock()
-	close(f.done)
-	if err != nil && ctx.Err() != nil {
-		s.canceled.Add(1)
-	}
-	return cub, st, err
-}
-
-// compute answers a miss: from the smallest resident ancestor when one
-// covers q, from a streaming cold scan otherwise, and admits the result.
-func (s *ColdServer) compute(ctx context.Context, q lattice.Mask) (*Cuboid, ColdQueryStats, error) {
-	stats := ColdQueryStats{Query: q, ServedFrom: q}
-	gen := s.cache.generation()
-
-	sc := s.scratch.Get().(*relation.Scratch)
-	defer s.scratch.Put(sc)
-
-	var cub *Cuboid
-	resident := s.cache.residentMasks(make([]maskSize, 0, 16))
-	rows := make(map[lattice.Mask]int, len(resident))
-	masks := make([]lattice.Mask, 0, len(resident))
-	for _, ms := range resident {
-		if _, ok := rows[ms.mask]; !ok {
-			rows[ms.mask] = ms.rows
-			masks = append(masks, ms.mask)
-		}
-	}
-	if from, ok := lattice.SmallestAncestor(q, masks, func(m lattice.Mask) int { return rows[m] }); ok {
-		if src, live := s.cache.get(from); live {
-			s.ancAggs.Add(1)
-			stats.ServedFrom = from
-			stats.CellsScanned = src.Rows()
-			cub = aggregateFrom(src, q, projection(src.Mask, q), s.queryCards(q), sc)
-		}
-	}
-	if cub == nil {
-		s.coldScans.Add(1)
-		stats.ColdScan = true
-		var err error
-		var scanned int64
-		cub, scanned, err = s.coldScan(ctx, q, sc)
-		if err != nil {
-			return nil, ColdQueryStats{}, err
-		}
-		stats.RowsScanned = scanned
-		s.rowsScanned.Add(scanned)
-	}
-
-	stats.ResultCells = cub.Rows()
-	stats.Admitted, _ = s.cache.add(q, cub, gen, 0)
-	return cub, stats, nil
-}
-
-// projection returns, for each attribute of q in ascending order, its
-// column index within a cuboid of mask src (q ⊆ src).
-func projection(src, q lattice.Mask) []int {
-	pos := make(map[int]int)
-	for i, d := range src.Dims() {
-		pos[d] = i
-	}
-	qd := q.Dims()
-	cols := make([]int, len(qd))
-	for i, d := range qd {
-		cols[i] = pos[d]
-	}
-	return cols
-}
-
-// queryCards returns the cardinalities of q's attributes in ascending
-// order.
-func (s *ColdServer) queryCards(q lattice.Mask) []int {
-	qd := q.Dims()
-	cards := make([]int, len(qd))
-	for i, d := range qd {
-		cards[i] = s.cards[d]
-	}
-	return cards
-}
-
-// coldScan streams the queried columns from the segment store and folds
-// each chunk into a running sorted cuboid: chunk rows become a staging
-// cuboid, aggregateFrom sorts and merges them, and mergeCuboids folds the
-// result into the accumulator. Peak memory is the accumulated result plus
-// one chunk. The context is checked before each chunk so an abandoned
-// query aborts the scan instead of reading the rest of the table.
-func (s *ColdServer) coldScan(ctx context.Context, q lattice.Mask, sc *relation.Scratch) (*Cuboid, int64, error) {
-	qDims := q.Dims()
-	w := len(qDims)
-	cards := s.queryCards(q)
-	idCols := make([]int, w)
-	for i := range idCols {
-		idCols[i] = i
-	}
+// aggregate streams the queried columns from the store and folds each
+// chunk into a running sorted cuboid: chunk rows become a staging cuboid,
+// aggregateFrom sorts and merges them, and mergeCuboids folds the result
+// into the accumulator. The context is checked before each chunk so an
+// abandoned query aborts the scan instead of reading the rest of the
+// table.
+func (c coldLeaf) aggregate(ctx context.Context, q lattice.Mask, cards []int, sc *relation.Scratch, st *QueryStats) (*Cuboid, error) {
+	idCols, qCards := project(cards, q, q)
+	w := len(idCols)
 	acc := &Cuboid{Mask: q, Width: w}
 	var scanned int64
-	err := s.src.Scan(qDims, func(cols [][]uint32, meas []float64) error {
+	err := c.src.Scan(q.Dims(), func(cols [][]uint32, meas []float64) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -310,18 +87,18 @@ func (s *ColdServer) coldScan(ctx context.Context, q lattice.Mask, sc *relation.
 		}
 		stage.States = make([]agg.State, n)
 		for i, m := range meas {
-			st := agg.NewState()
-			st.Add(m)
-			stage.States[i] = st
+			s := agg.NewState()
+			s.Add(m)
+			stage.States[i] = s
 		}
-		part := aggregateFrom(stage, q, idCols, cards, sc)
-		acc = mergeCuboids(acc, part)
+		acc = mergeCuboids(acc, aggregateFrom(stage, q, idCols, qCards, sc))
 		return nil
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return acc, scanned, nil
+	st.ColdScan, st.RowsScanned = true, scanned
+	return acc, nil
 }
 
 // mergeCuboids merges two cuboids of the same mask, each sorted in
@@ -390,38 +167,4 @@ func compareRows(a, b []uint32) int {
 		}
 	}
 	return 0
-}
-
-// SetBudget changes the cache byte budget, evicting as needed.
-func (s *ColdServer) SetBudget(budgetBytes int64) {
-	if budgetBytes <= 0 {
-		budgetBytes = DefaultBudgetBytes
-	}
-	s.cache.setBudget(budgetBytes)
-}
-
-// Reset drops every cached cuboid (the next miss scans cold again).
-func (s *ColdServer) Reset() { s.cache.reset() }
-
-// Invalidate drops the cuboid for q from the cache, if resident.
-func (s *ColdServer) Invalidate(q lattice.Mask) { s.cache.remove(q) }
-
-// Stats returns the cumulative cold-serving metrics.
-func (s *ColdServer) Stats() ColdMetrics {
-	c := s.cache
-	c.mu.Lock()
-	m := ColdMetrics{
-		ResidentBytes:   c.bytes,
-		ResidentCuboids: len(c.byMask),
-		BudgetBytes:     c.budget,
-	}
-	c.mu.Unlock()
-	m.Queries = s.queries.Load()
-	m.CacheHits = s.hits.Load()
-	m.Coalesced = s.coalesced.Load()
-	m.Canceled = s.canceled.Load()
-	m.ColdScans = s.coldScans.Load()
-	m.AncestorAggregations = s.ancAggs.Load()
-	m.RowsScanned = s.rowsScanned.Load()
-	return m
 }

@@ -188,3 +188,89 @@ func TestColdQueryCtxAbortsScan(t *testing.T) {
 		t.Fatalf("cuboid has %d cells, want 7", cub.Rows())
 	}
 }
+
+// signalCtx reports when something starts waiting on it: QueryCtx asks a
+// context for Done only once it has joined an in-flight computation and
+// is about to block on it.
+type signalCtx struct {
+	context.Context
+	waiting func()
+}
+
+func (c signalCtx) Done() <-chan struct{} {
+	c.waiting()
+	return c.Context.Done()
+}
+
+// TestColdLeaderCancelDoesNotFailLiveWaiter: a leader cancelled mid-scan
+// fails only itself. A waiter coalesced on its flight whose own context is
+// still live re-enters the miss path and returns the full, correct cuboid;
+// Canceled counts the leader alone and no flight is left behind.
+func TestColdLeaderCancelDoesNotFailLiveWaiter(t *testing.T) {
+	const rows = 1000
+	src := &memColdSource{width: 3, chunk: 10}
+	for r := 0; r < rows; r++ {
+		src.keys = append(src.keys, []uint32{uint32(r % 7), uint32(r % 5), uint32(r % 3)})
+		src.meas = append(src.meas, float64(r))
+	}
+	s, err := NewColdServer(src, []int{7, 5, 3}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := lattice.Mask(0b001)
+
+	// The leader parks inside its third chunk until the waiter has joined
+	// its flight, then is cancelled: chunk 4's context check fails.
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	defer cancelLeader()
+	inScan, joined := make(chan struct{}), make(chan struct{})
+	src.onChunk = func(n int) {
+		if n == 3 {
+			close(inScan)
+			<-joined
+			cancelLeader()
+		}
+	}
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, _, err := s.QueryCtx(leaderCtx, q)
+		leaderDone <- err
+	}()
+	<-inScan
+
+	var once sync.Once
+	waiterCtx := signalCtx{context.Background(), func() { once.Do(func() { close(joined) }) }}
+	cub, qs, err := s.QueryCtx(waiterCtx, q)
+	if err != nil {
+		t.Fatalf("live waiter got the leader's fate: %v", err)
+	}
+	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want context.Canceled", err)
+	}
+	if !qs.ColdScan || qs.RowsScanned != rows {
+		t.Fatalf("waiter stats %+v, want its own full cold scan of %d rows", qs, rows)
+	}
+	if cub.Rows() != 7 {
+		t.Fatalf("cuboid has %d cells, want 7", cub.Rows())
+	}
+	for i := 0; i < cub.Rows(); i++ {
+		var n int64
+		var sum float64
+		for r := i; r < rows; r += 7 {
+			n++
+			sum += float64(r)
+		}
+		if st := cub.States[i]; cub.Row(i)[0] != uint32(i) || st.Count != n || st.Sum != sum {
+			t.Fatalf("cell %d = %v %+v, want count %d sum %g", i, cub.Row(i), st, n, sum)
+		}
+	}
+	if got := s.Stats().Canceled; got != 1 {
+		t.Fatalf("Canceled = %d, want 1 (the leader only)", got)
+	}
+	s.mu.Lock()
+	leaked := len(s.inflight)
+	s.mu.Unlock()
+	if leaked != 0 {
+		t.Fatalf("%d flights left in the inflight map", leaked)
+	}
+}

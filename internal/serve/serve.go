@@ -6,9 +6,15 @@
 // observation: any cuboid is derivable from any superset cuboid by
 // further aggregation). Computed cuboids are admitted into a
 // byte-budgeted cache, so repeated and nearby query shapes amortize to
-// near-lookup cost; the leaf itself is pinned outside the cache and never
-// evicted. Concurrent identical misses are coalesced so each cuboid is
-// computed once (singleflight).
+// near-lookup cost. Concurrent identical misses are coalesced so each
+// cuboid is computed once (singleflight).
+//
+// Where the leaf lives is a source, not a server type (leafSource): a
+// resident *Cuboid is pinned outside the cache and never evicted; a
+// ColdSource stays on disk and is streamed, projected onto the queried
+// columns, only when no resident ancestor covers a query. Everything above
+// the leaf — cache, singleflight, counters, stats table, policies,
+// background fills — is the same code for both.
 //
 // Residency is governed by one of two policies. The default LRU admits
 // every computed cuboid and evicts by recency. The adaptive policy
@@ -22,6 +28,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -41,17 +48,22 @@ const DefaultBudgetBytes = 64 << 20
 type QueryStats struct {
 	// Query is the requested group-by.
 	Query lattice.Mask
-	// ServedFrom is the resident cuboid the answer came from: Query
-	// itself on a cache hit, else the smallest resident ancestor that was
-	// aggregated.
+	// ServedFrom is the cuboid the answer came from: Query itself on a
+	// cache hit, else the smallest resident ancestor that was aggregated
+	// (the leaf's full mask when the leaf itself was, resident or streamed).
 	ServedFrom lattice.Mask
 	// CacheHit reports the answer was already resident (no aggregation).
 	CacheHit bool
 	// Coalesced reports this query waited on an identical in-flight miss
 	// instead of computing its own copy.
 	Coalesced bool
-	// CellsScanned is the number of ancestor cells aggregated (0 on a
-	// hit).
+	// ColdScan reports the answer was aggregated by streaming a cold leaf
+	// source (no resident ancestor covered the query); RowsScanned is the
+	// number of cold rows streamed (0 unless ColdScan).
+	ColdScan    bool
+	RowsScanned int64
+	// CellsScanned is the number of resident cells aggregated (0 on a hit
+	// or a cold scan).
 	CellsScanned int
 	// ResultCells is the answer cuboid's cell count.
 	ResultCells int
@@ -78,6 +90,11 @@ type Metrics struct {
 	// the pinned leaf vs a smaller cached ancestor.
 	LeafAggregations     int64
 	AncestorAggregations int64
+	// ColdScans counts aggregations that streamed a cold leaf source,
+	// foreground and background alike; RowsScanned totals the rows they
+	// read. Both stay zero over a resident leaf.
+	ColdScans   int64
+	RowsScanned int64
 	// Admitted / Rejected / Evictions are cache admission-control
 	// counters; EvictedBytes totals the evicted cuboids' footprint.
 	Admitted     int64
@@ -103,17 +120,42 @@ type Metrics struct {
 	ResidentCuboids int
 	// BudgetBytes is the configured cache budget.
 	BudgetBytes int64
-	// LeafBytes is the pinned leaf's footprint (not budgeted).
+	// LeafBytes is the pinned leaf's footprint (not budgeted; zero when
+	// the leaf is streamed).
 	LeafBytes int64
 	// Policy names the active admission policy ("lru" or "adaptive").
 	Policy string
 }
 
-// Server answers group-by queries over one materialized leaf cuboid.
-// Safe for concurrent use.
+// leafSource is where the finest cuboid lives. There are exactly two: a
+// resident *Cuboid, and a coldLeaf streaming a ColdSource (cold.go).
+type leafSource interface {
+	// pinned returns the resident leaf, nil when the leaf is streamed.
+	pinned() *Cuboid
+	// rows sizes the leaf for planning: cells when resident, table rows
+	// when streamed.
+	rows() int
+	// aggregate computes q from the leaf itself and records in st how:
+	// CellsScanned for a resident leaf, ColdScan and RowsScanned for a
+	// streamed one. cards is the code cardinality of every leaf column.
+	aggregate(ctx context.Context, q lattice.Mask, cards []int, sc *relation.Scratch, st *QueryStats) (*Cuboid, error)
+}
+
+func (c *Cuboid) pinned() *Cuboid { return c }
+func (c *Cuboid) rows() int       { return c.Rows() }
+
+func (c *Cuboid) aggregate(_ context.Context, q lattice.Mask, cards []int, sc *relation.Scratch, st *QueryStats) (*Cuboid, error) {
+	st.CellsScanned = c.Rows()
+	cols, qCards := project(cards, c.Mask, q)
+	return aggregateFrom(c, q, cols, qCards, sc), nil
+}
+
+// Server answers group-by queries over one leaf source. Safe for
+// concurrent use.
 type Server struct {
-	leaf  *Cuboid
-	cards []int // per leaf column: code cardinality, for radix sizing
+	leaf  leafSource
+	full  lattice.Mask // the leaf's group-by: every dimension
+	cards []int        // per leaf column: code cardinality, for radix sizing
 	cache *cache
 	stats *statsTable
 
@@ -146,23 +188,26 @@ type Server struct {
 	// deterministically with an in-flight computation.
 	testBeforeAdmit func()
 
-	queries    atomic.Int64
-	hits       atomic.Int64
-	coalesced  atomic.Int64
-	canceled   atomic.Int64
-	leafAggs   atomic.Int64
-	ancAggs    atomic.Int64
-	bgFills    atomic.Int64
-	bgAdmitted atomic.Int64
-	replans    atomic.Int64
+	queries     atomic.Int64
+	hits        atomic.Int64
+	coalesced   atomic.Int64
+	canceled    atomic.Int64
+	leafAggs    atomic.Int64
+	ancAggs     atomic.Int64
+	coldScans   atomic.Int64
+	rowsScanned atomic.Int64
+	bgFills     atomic.Int64
+	bgAdmitted  atomic.Int64
+	replans     atomic.Int64
 }
 
 // flight is one in-progress cuboid computation; duplicate queriers wait
-// on done and share the result.
+// on done and share the result, or the error that ended it.
 type flight struct {
 	done  chan struct{}
 	cub   *Cuboid
 	stats QueryStats
+	err   error
 }
 
 // NewServer builds a server over a leaf cuboid with the default LRU
@@ -171,11 +216,16 @@ type flight struct {
 // selects DefaultBudgetBytes. Use SetPolicy to switch to the adaptive
 // policy.
 func NewServer(leaf *Cuboid, cards []int, budgetBytes int64) *Server {
+	return newServer(leaf, leaf.Mask, cards, budgetBytes)
+}
+
+func newServer(leaf leafSource, full lattice.Mask, cards []int, budgetBytes int64) *Server {
 	if budgetBytes <= 0 {
 		budgetBytes = DefaultBudgetBytes
 	}
 	s := &Server{
 		leaf:     leaf,
+		full:     full,
 		cards:    append([]int(nil), cards...),
 		cache:    newCache(budgetBytes),
 		stats:    newStatsTable(),
@@ -187,8 +237,18 @@ func NewServer(leaf *Cuboid, cards []int, budgetBytes int64) *Server {
 	return s
 }
 
-// Leaf returns the pinned leaf cuboid.
-func (s *Server) Leaf() *Cuboid { return s.leaf }
+// Leaf returns the pinned leaf cuboid (nil when the leaf is streamed).
+func (s *Server) Leaf() *Cuboid { return s.leaf.pinned() }
+
+// pinnedFor returns the resident leaf when q is its group-by — the one
+// cuboid served without the cache. A streamed leaf pins nothing: its
+// full-mask cuboid is computed and cached like any other.
+func (s *Server) pinnedFor(q lattice.Mask) *Cuboid {
+	if q != s.full {
+		return nil
+	}
+	return s.leaf.pinned()
+}
 
 // SetBudget changes the cache byte budget, evicting as needed.
 func (s *Server) SetBudget(budgetBytes int64) {
@@ -256,15 +316,19 @@ func (s *Server) Query(q lattice.Mask) (*Cuboid, QueryStats, error) {
 
 // QueryCtx is Query with caller cancellation: the context is checked at
 // entry, before this query becomes the singleflight leader for a miss,
-// and while waiting on a coalesced in-flight computation. Once a
-// computation has started it always runs to completion — it serves every
-// coalesced waiter and the cache, and an in-memory derivation is short —
-// so cancelling stops a query from *starting* aggregation work or from
-// blocking on someone else's, never tears a flight other queries depend
-// on.
+// while waiting on a coalesced in-flight computation, and between the
+// chunks of a cold scan — the one serving operation long enough to be
+// worth tearing down mid-way, so an abandoned client stops burning disk
+// reads. An in-memory derivation always runs to completion once started:
+// it is short, and it serves every coalesced waiter and the cache.
+//
+// A leader cancelled mid-scan fails its flight, but only for itself: a
+// coalesced waiter whose own context is still live re-enters the miss path
+// (becoming or joining a fresh flight) instead of surfacing someone else's
+// cancellation. Any other flight error is shared with every waiter.
 func (s *Server) QueryCtx(ctx context.Context, q lattice.Mask) (*Cuboid, QueryStats, error) {
-	if !q.SubsetOf(s.leaf.Mask) {
-		return nil, QueryStats{}, fmt.Errorf("serve: mask %b is not a subset of the leaf %b", q, s.leaf.Mask)
+	if !q.SubsetOf(s.full) {
+		return nil, QueryStats{}, fmt.Errorf("serve: mask %b is not a subset of the leaf %b", q, s.full)
 	}
 	if err := ctx.Err(); err != nil {
 		s.canceled.Add(1)
@@ -272,31 +336,61 @@ func (s *Server) QueryCtx(ctx context.Context, q lattice.Mask) (*Cuboid, QuerySt
 	}
 	s.queries.Add(1)
 	stats := QueryStats{Query: q, ServedFrom: q}
-	if q == s.leaf.Mask {
+	if leaf := s.pinnedFor(q); leaf != nil {
 		s.hits.Add(1)
 		stats.CacheHit = true
-		stats.ResultCells = s.leaf.Rows()
-		return s.leaf, stats, nil
+		stats.ResultCells = leaf.Rows()
+		return leaf, stats, nil
 	}
-	if cub, ok := s.cache.get(q); ok {
-		s.hits.Add(1)
-		stats.CacheHit = true
-		stats.ResultCells = cub.Rows()
-		s.stats.recordHit(q, cub.Rows(), cub.SizeBytes())
-		s.maybeReplan()
-		return cub, stats, nil
-	}
+	for {
+		if cub, ok := s.cache.get(q); ok {
+			s.hits.Add(1)
+			stats.CacheHit = true
+			stats.ResultCells = cub.Rows()
+			s.stats.recordHit(q, cub.Rows(), cub.SizeBytes())
+			s.maybeReplan()
+			return cub, stats, nil
+		}
 
-	// Miss: coalesce with an identical in-flight computation, else
-	// become the filler for this mask.
-	s.mu.Lock()
-	if f, ok := s.inflight[q]; ok {
+		// Miss: coalesce with an identical in-flight computation, else
+		// become the filler for this mask.
+		s.mu.Lock()
+		f, waiting := s.inflight[q]
+		if !waiting {
+			if err := ctx.Err(); err != nil {
+				// Last check before committing to the derivation.
+				s.mu.Unlock()
+				s.canceled.Add(1)
+				return nil, QueryStats{}, err
+			}
+			f = &flight{done: make(chan struct{})}
+			s.inflight[q] = f
+		}
 		s.mu.Unlock()
+
+		if !waiting {
+			s.fly(ctx, q, f, false, 0)
+			if f.err != nil {
+				if ctx.Err() != nil {
+					s.canceled.Add(1)
+				}
+				return nil, QueryStats{}, f.err
+			}
+			s.maybeReplan()
+			return f.cub, f.stats, nil
+		}
+
 		select {
 		case <-f.done:
 		case <-ctx.Done():
 			s.canceled.Add(1)
 			return nil, QueryStats{}, ctx.Err()
+		}
+		if f.err != nil {
+			if isContextErr(f.err) && ctx.Err() == nil {
+				continue // the leader's cancellation, not ours
+			}
+			return nil, QueryStats{}, f.err
 		}
 		s.coalesced.Add(1)
 		stats = f.stats
@@ -306,118 +400,134 @@ func (s *Server) QueryCtx(ctx context.Context, q lattice.Mask) (*Cuboid, QuerySt
 		s.maybeReplan()
 		return f.cub, stats, nil
 	}
-	if err := ctx.Err(); err != nil {
-		// Last check before committing to the derivation.
-		s.mu.Unlock()
-		s.canceled.Add(1)
-		return nil, QueryStats{}, err
-	}
-	f := &flight{done: make(chan struct{})}
-	s.inflight[q] = f
-	s.mu.Unlock()
+}
 
-	cub, st := s.compute(q, false, 0)
-	f.cub, f.stats = cub, st
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// fly runs the computation behind a registered flight and publishes its
+// outcome: the flight leaves the inflight map before waiters wake, so a
+// waiter that retries after a failure never rejoins the dead flight.
+func (s *Server) fly(ctx context.Context, q lattice.Mask, f *flight, background bool, planScore float64) {
+	f.cub, f.stats, f.err = s.compute(ctx, q, background, planScore)
 	s.mu.Lock()
 	delete(s.inflight, q)
 	s.mu.Unlock()
 	close(f.done)
-	s.maybeReplan()
-	return cub, st, nil
 }
 
-// derive aggregates q from the smallest resident ancestor (leaf included)
-// without touching the cache's admission state. It returns the cuboid,
-// the ancestor it came from, and the cells scanned. gen is the cache
-// generation observed before any resident state was read — admissions
-// derived from this result must carry it.
-func (s *Server) derive(q lattice.Mask) (cub *Cuboid, from lattice.Mask, scanned int, gen uint64) {
+// project returns, for each attribute of q in ascending order, its column
+// index within a cuboid of mask src (q ⊆ src) and its code cardinality
+// (for radix sizing). cards is indexed by leaf column.
+func project(cards []int, src, q lattice.Mask) (cols, qCards []int) {
+	srcDims, qDims := src.Dims(), q.Dims()
+	cols = make([]int, len(qDims))
+	qCards = make([]int, len(qDims))
+	col := 0
+	for i, d := range qDims {
+		for srcDims[col] != d {
+			col++
+		}
+		cols[i] = col
+		qCards[i] = cards[d]
+	}
+	return cols, qCards
+}
+
+// derive aggregates q from the smallest resident ancestor, or from the
+// leaf source when no cached cuboid covers it, without touching the
+// cache's admission state. st reports where the answer came from and what
+// it cost; gen is the cache generation observed before any resident state
+// was read — admissions derived from this result must carry it.
+// Foreground derivations count toward the leaf/ancestor split; background
+// ones (fills, Precompute) are counted by their callers.
+func (s *Server) derive(ctx context.Context, q lattice.Mask, background bool) (cub *Cuboid, st QueryStats, gen uint64, err error) {
 	// Capture the cache generation before reading any resident state: if
 	// a Reset or Invalidate lands while we aggregate, the admission below
 	// is rejected instead of resurrecting a cuboid the invalidation was
 	// meant to drop. The served answer itself stays valid — it was
 	// aggregated from the immutable leaf or an immutable ancestor copy.
 	gen = s.cache.generation()
+	st = QueryStats{Query: q, ServedFrom: s.full}
 
-	// Candidate ancestors: every cached cuboid plus the pinned leaf.
+	sc := s.scratch.Get().(*relation.Scratch)
+	defer s.scratch.Put(sc)
+
+	// Any cached ancestor beats the leaf: it has at most as many cells and
+	// strictly fewer attributes (or, over a streamed leaf, needs no I/O).
 	resident := s.cache.residentMasks(make([]maskSize, 0, 16))
-	resident = append(resident, maskSize{mask: s.leaf.Mask, rows: s.leaf.Rows()})
 	rows := make(map[lattice.Mask]int, len(resident))
 	masks := make([]lattice.Mask, 0, len(resident))
 	for _, ms := range resident {
-		if _, ok := rows[ms.mask]; !ok {
-			rows[ms.mask] = ms.rows
-			masks = append(masks, ms.mask)
+		rows[ms.mask] = ms.rows
+		masks = append(masks, ms.mask)
+	}
+	if from, ok := lattice.SmallestAncestor(q, masks, func(m lattice.Mask) int { return rows[m] }); ok {
+		// A miss here means it was evicted between selection and fetch;
+		// fall back to the leaf.
+		if src, live := s.cache.get(from); live {
+			if !background {
+				s.ancAggs.Add(1)
+			}
+			st.ServedFrom = from
+			st.CellsScanned = src.Rows()
+			cols, cards := project(s.cards, from, q)
+			cub = aggregateFrom(src, q, cols, cards, sc)
 		}
 	}
-	from, _ = lattice.SmallestAncestor(q, masks, func(m lattice.Mask) int { return rows[m] })
-
-	src := s.leaf
-	if from != s.leaf.Mask {
-		if c, ok := s.cache.get(from); ok {
-			src = c
-		} else {
-			// Evicted between selection and fetch; fall back to the leaf.
-			from = s.leaf.Mask
+	if cub == nil {
+		if cub, err = s.leaf.aggregate(ctx, q, s.cards, sc, &st); err != nil {
+			return nil, QueryStats{}, gen, err
+		}
+		// Cold counters first: Stats loads them after leafAggs, so a
+		// reader never sees a leaf aggregation without its cold scan.
+		if st.ColdScan {
+			s.coldScans.Add(1)
+			s.rowsScanned.Add(st.RowsScanned)
+		}
+		if !background {
+			s.leafAggs.Add(1)
 		}
 	}
-
-	// Column positions of q's attributes within src's rows, and their
-	// cardinalities for the radix sort.
-	srcDims := src.Mask.Dims()
-	srcPos := make(map[int]int, len(srcDims))
-	for i, d := range srcDims {
-		srcPos[d] = i
-	}
-	qDims := q.Dims()
-	cols := make([]int, len(qDims))
-	cards := make([]int, len(qDims))
-	for i, d := range qDims {
-		cols[i] = srcPos[d]
-		cards[i] = s.cards[d]
-	}
-
-	sc := s.scratch.Get().(*relation.Scratch)
-	cub = aggregateFrom(src, q, cols, cards, sc)
-	s.scratch.Put(sc)
-	return cub, from, src.Rows(), gen
+	st.ResultCells = cub.Rows()
+	return cub, st, gen, nil
 }
 
-// compute aggregates q from the smallest resident ancestor and admits the
-// result into the cache. Background fills (the adaptive planner's
-// materializations) record into the stats table as fills — not demand —
-// and admit with the planner's score instead of the admission score.
-func (s *Server) compute(q lattice.Mask, background bool, planScore float64) (*Cuboid, QueryStats) {
-	stats := QueryStats{Query: q}
-	cub, from, scanned, gen := s.derive(q)
-	rows, size := cub.Rows(), cub.SizeBytes()
+// deriveCost is the work one derivation took, in the units the stats table
+// and the admission score weigh against a cuboid's size: resident cells
+// aggregated, or cold rows streamed.
+func (st QueryStats) deriveCost() int { return st.CellsScanned + int(st.RowsScanned) }
+
+// compute derives q and admits the result into the cache. Background
+// fills (the adaptive planner's materializations) record into the stats
+// table as fills — not demand — and admit with the planner's score instead
+// of the admission score.
+func (s *Server) compute(ctx context.Context, q lattice.Mask, background bool, planScore float64) (*Cuboid, QueryStats, error) {
+	cub, stats, gen, err := s.derive(ctx, q, background)
+	if err != nil {
+		return nil, QueryStats{}, err
+	}
+	rows, size, cost := cub.Rows(), cub.SizeBytes(), stats.deriveCost()
 
 	score := planScore
 	if background {
 		s.bgFills.Add(1)
-		s.stats.recordFill(q, rows, size, scanned)
+		s.stats.recordFill(q, rows, size, cost)
 	} else {
-		if from == s.leaf.Mask {
-			s.leafAggs.Add(1)
-		} else {
-			s.ancAggs.Add(1)
-		}
-		s.stats.recordMiss(q, rows, size, scanned)
-		score = admissionScore(s.stats.demand(q), scanned, rows, size)
+		s.stats.recordMiss(q, rows, size, cost)
+		score = admissionScore(s.stats.demand(q), cost, rows, size)
 	}
 
 	if s.testBeforeAdmit != nil {
 		s.testBeforeAdmit()
 	}
 
-	stats.ServedFrom = from
-	stats.CellsScanned = scanned
-	stats.ResultCells = rows
 	stats.Admitted, stats.Evicted = s.cache.add(q, cub, gen, score)
 	if background && stats.Admitted {
 		s.bgAdmitted.Add(1)
 	}
-	return cub, stats
+	return cub, stats, nil
 }
 
 // fill is one background materialization: compute q and admit it with the
@@ -426,9 +536,9 @@ func (s *Server) compute(q lattice.Mask, background bool, planScore float64) (*C
 // committing writer into an inconsistent resident set. Foreground queries
 // arriving while the fill is in flight coalesce onto it. A fill for a
 // mask that is already resident, already being computed, or belongs to a
-// retired server is skipped.
+// retired server is skipped; one whose cold scan fails leaves no trace.
 func (s *Server) fill(q lattice.Mask, score float64) {
-	if s.retired.Load() || q == s.leaf.Mask || !q.SubsetOf(s.leaf.Mask) {
+	if s.retired.Load() || s.pinnedFor(q) != nil || !q.SubsetOf(s.full) {
 		return
 	}
 	if s.cache.peek(q) {
@@ -442,13 +552,7 @@ func (s *Server) fill(q lattice.Mask, score float64) {
 	f := &flight{done: make(chan struct{})}
 	s.inflight[q] = f
 	s.mu.Unlock()
-
-	cub, st := s.compute(q, true, score)
-	f.cub, f.stats = cub, st
-	s.mu.Lock()
-	delete(s.inflight, q)
-	s.mu.Unlock()
-	close(f.done)
+	s.fly(context.Background(), q, f, true, score)
 }
 
 // maybeReplan advances the periodic re-plan counter on a foreground query
@@ -488,8 +592,8 @@ func (s *Server) Replan() {
 
 	res := planAdaptive(planInput{
 		stats:    s.stats.snapshot(),
-		leafMask: s.leaf.Mask,
-		leafRows: s.leaf.Rows(),
+		leafMask: s.full,
+		leafRows: s.leaf.rows(),
 		cards:    s.cards,
 		budget:   s.Budget(),
 		seed:     opt.Seed,
@@ -535,7 +639,7 @@ func (s *Server) Resident() []*Cuboid { return s.cache.resident() }
 func (s *Server) Warm(cubs []*Cuboid) {
 	for i := len(cubs) - 1; i >= 0; i-- {
 		cub := cubs[i]
-		if cub.Mask == s.leaf.Mask {
+		if s.pinnedFor(cub.Mask) != nil {
 			continue
 		}
 		s.cache.add(cub.Mask, cub, s.cache.generation(), infScore)
@@ -550,19 +654,19 @@ func (s *Server) Warm(cubs []*Cuboid) {
 // the mask *set*, not the caller's order. Crash recovery uses it to
 // rebuild the warm set recorded in the last commit marker. The
 // computations record into the stats table as background fills, not
-// demand; duplicate masks and the leaf are ignored.
+// demand; duplicate masks and the pinned leaf are ignored, and a mask
+// whose derivation fails (a cold scan error) is reported as skipped.
 func (s *Server) Precompute(masks []lattice.Mask) (admitted int, skipped []lattice.Mask) {
 	type pre struct {
-		mask    lattice.Mask
-		cub     *Cuboid
-		gen     uint64
-		scanned int
-		score   float64
+		mask  lattice.Mask
+		cub   *Cuboid
+		gen   uint64
+		score float64
 	}
 	seen := make(map[lattice.Mask]bool, len(masks))
 	var todo []pre
 	for _, q := range masks {
-		if q == s.leaf.Mask || seen[q] || !q.SubsetOf(s.leaf.Mask) {
+		if s.pinnedFor(q) != nil || seen[q] || !q.SubsetOf(s.full) {
 			continue
 		}
 		seen[q] = true
@@ -570,15 +674,18 @@ func (s *Server) Precompute(masks []lattice.Mask) (admitted int, skipped []latti
 			admitted++
 			continue
 		}
-		cub, _, scanned, gen := s.derive(q)
+		cub, st, gen, err := s.derive(context.Background(), q, true)
+		if err != nil {
+			skipped = append(skipped, q)
+			continue
+		}
 		s.bgFills.Add(1)
-		s.stats.recordFill(q, cub.Rows(), cub.SizeBytes(), scanned)
+		s.stats.recordFill(q, cub.Rows(), cub.SizeBytes(), st.deriveCost())
 		todo = append(todo, pre{
-			mask:    q,
-			cub:     cub,
-			gen:     gen,
-			scanned: scanned,
-			score:   admissionScore(1, s.leaf.Rows(), cub.Rows(), cub.SizeBytes()),
+			mask:  q,
+			cub:   cub,
+			gen:   gen,
+			score: admissionScore(1, s.leaf.rows(), cub.Rows(), cub.SizeBytes()),
 		})
 	}
 	sort.Slice(todo, func(a, b int) bool {
@@ -648,7 +755,11 @@ func (s *Server) Stats() Metrics {
 	m.BackgroundFills = s.bgFills.Load()
 	m.BackgroundAdmitted = s.bgAdmitted.Load()
 	m.Replans = s.replans.Load()
-	m.LeafBytes = s.leaf.SizeBytes()
+	m.ColdScans = s.coldScans.Load()
+	m.RowsScanned = s.rowsScanned.Load()
+	if leaf := s.leaf.pinned(); leaf != nil {
+		m.LeafBytes = leaf.SizeBytes()
+	}
 	m.Policy = s.opt.Load().Policy.String()
 	return m
 }

@@ -3,7 +3,6 @@ package icebergcube
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -38,11 +37,10 @@ import (
 // Safe for concurrent queries; Append/Delete/Commit may run concurrently
 // with queries (writes are serialized internally).
 type Materialized struct {
-	ds    *Dataset
-	dims  []int
-	attrs []string
-	pos   map[string]int // attribute name → materialized position
-	cube  *ingest.Cube
+	schema // the materialized dimensions, in cube order
+	ds     *Dataset
+	dims   []int
+	cube   *ingest.Cube
 
 	// ext extends the dataset's dictionary with values first seen by
 	// Append: per materialized position, codes ≥ ext[p].base decode
@@ -112,32 +110,37 @@ func publicSnapshot(s ingest.Snapshot) Snapshot {
 	}
 }
 
-// ServeStats reports how one Answer was served — which resident cuboid
-// the rewrite picked, whether it was a cache hit, and how much work the
-// miss cost.
+// ServeStats reports how one Answer was served, on either tier — which
+// resident cuboid the rewrite picked, whether it was a cache hit, and how
+// much work the miss cost.
 type ServeStats struct {
-	// ServedFrom names the attributes of the resident cuboid the answer
-	// was aggregated from (the query's own attributes on a cache hit; all
-	// materialized dimensions when the leaf had to be rescanned).
+	// ServedFrom names the attributes of the cuboid the answer was
+	// aggregated from (the query's own attributes on a cache hit; all cube
+	// dimensions when the leaf had to be rescanned or streamed).
 	ServedFrom []string
 	// CacheHit reports the cuboid was already resident — no aggregation.
 	CacheHit bool
 	// Coalesced reports this query waited on an identical concurrent miss
 	// instead of computing its own copy.
 	Coalesced bool
-	// CellsScanned is the number of ancestor cells aggregated (0 on a
-	// hit).
+	// ColdScan reports the segment store was streamed (ColdCube only, when
+	// no resident ancestor covered the query); RowsScanned counts the cold
+	// rows read (0 unless ColdScan).
+	ColdScan    bool
+	RowsScanned int64
+	// CellsScanned is the number of resident cells aggregated (0 on a hit
+	// or a cold scan).
 	CellsScanned int
 	// Admitted reports the computed cuboid was retained in the cache.
 	Admitted bool
-	// Version is the snapshot the answer was served at.
+	// Version is the snapshot the answer was served at (0 on a ColdCube).
 	Version uint64
 }
 
-// CacheMetrics are the serving layer's cumulative counters. Traffic
-// counters accumulate across snapshots (a commit swaps the serving state
-// but does not reset observability); occupancy fields describe the
-// current version's cache.
+// CacheMetrics are the serving layer's cumulative counters, for either
+// tier. On a Materialized cube traffic counters accumulate across
+// snapshots (a commit swaps the serving state but does not reset
+// observability); occupancy fields describe the current version's cache.
 type CacheMetrics struct {
 	// Queries, CacheHits and Coalesced count Answer traffic: total,
 	// answered from a resident cuboid, and piggybacked on a concurrent
@@ -153,6 +156,12 @@ type CacheMetrics struct {
 	// ancestor.
 	LeafAggregations     int64
 	AncestorAggregations int64
+	// ColdScans counts aggregations that streamed the segment store,
+	// RowsScanned the rows they read, and IO their measured read-side
+	// cost. All zero on a Materialized cube, whose leaf is resident.
+	ColdScans   int64
+	RowsScanned int64
+	IO          SegmentIOStats
 	// Evictions, ResidentBytes, ResidentCuboids and BudgetBytes describe
 	// the byte-budgeted cuboid cache (the pinned leaf is excluded and
 	// never evicted). ResidentBytes never exceeds BudgetBytes.
@@ -331,15 +340,10 @@ func Materialize(ds *Dataset, dims []string, workers int) (*Materialized, error)
 	if err != nil {
 		return nil, err
 	}
-	attrs := make([]string, len(idx))
-	pos := make(map[string]int, len(idx))
+	m := newMaterialized(ds, idx)
 	cards := make([]int, len(idx))
-	ext := make([]extDim, len(idx))
 	for i, d := range idx {
-		attrs[i] = ds.rel.Name(d)
-		pos[attrs[i]] = i
 		cards[i] = ds.rel.Card(d)
-		ext[i] = extDim{base: cards[i], codes: make(map[string]uint32)}
 	}
 	var fullMask lattice.Mask
 	for p := range idx {
@@ -361,15 +365,22 @@ func Materialize(ds *Dataset, dims []string, workers int) (*Materialized, error)
 		meas[row] = ds.rel.Measure(row)
 	}
 
-	return &Materialized{
-		ds:                ds,
-		dims:              idx,
-		attrs:             attrs,
-		pos:               pos,
-		cube:              ingest.New(leaf, rowKeys, meas, cards, 0),
-		ext:               ext,
-		PrecomputeSeconds: rep.Makespan,
-	}, nil
+	m.cube = ingest.New(leaf, rowKeys, meas, cards, 0)
+	m.PrecomputeSeconds = rep.Makespan
+	return m, nil
+}
+
+// newMaterialized builds the naming and dictionary-extension state of a
+// cube over dataset columns idx; the caller attaches the ingest cube.
+func newMaterialized(ds *Dataset, idx []int) *Materialized {
+	m := &Materialized{ds: ds, dims: idx, ext: make([]extDim, len(idx))}
+	attrs := make([]string, len(idx))
+	for i, d := range idx {
+		attrs[i] = ds.rel.Name(d)
+		m.ext[i] = extDim{base: ds.rel.Card(d), codes: make(map[string]uint32)}
+	}
+	m.schema = newSchema(attrs, "materialized dimension", m.decodeValue)
+	return m
 }
 
 // SetCacheBudget resizes the serving cache's byte budget (≤ 0 restores
@@ -386,26 +397,32 @@ func (m *Materialized) ResetCache() { m.cube.Current().Srv.Reset() }
 // across snapshots (see the type's doc).
 func (m *Materialized) CacheMetrics() CacheMetrics {
 	var out CacheMetrics
-	views := m.cube.Views()
-	for _, v := range views {
-		s := v.Srv.Stats()
-		out.Queries += s.Queries
-		out.CacheHits += s.CacheHits
-		out.Coalesced += s.Coalesced
-		out.Canceled += s.Canceled
-		out.LeafAggregations += s.LeafAggregations
-		out.AncestorAggregations += s.AncestorAggregations
-		out.Evictions += s.Evictions
-		out.BackgroundFills += s.BackgroundFills
-		out.BackgroundAdmitted += s.BackgroundAdmitted
-		out.Replans += s.Replans
+	for _, v := range m.cube.Views() {
+		out.add(v.Srv.Stats())
 	}
-	cur := views[len(views)-1].Srv.Stats()
-	out.ResidentBytes = cur.ResidentBytes
-	out.ResidentCuboids = cur.ResidentCuboids
-	out.BudgetBytes = cur.BudgetBytes
-	out.Policy = cur.Policy
 	return out
+}
+
+// add folds one server's counters into c: traffic accumulates, occupancy
+// is overwritten — so after folding a cube's versions in ascending order,
+// occupancy describes the newest.
+func (c *CacheMetrics) add(s serve.Metrics) {
+	c.Queries += s.Queries
+	c.CacheHits += s.CacheHits
+	c.Coalesced += s.Coalesced
+	c.Canceled += s.Canceled
+	c.LeafAggregations += s.LeafAggregations
+	c.AncestorAggregations += s.AncestorAggregations
+	c.ColdScans += s.ColdScans
+	c.RowsScanned += s.RowsScanned
+	c.Evictions += s.Evictions
+	c.BackgroundFills += s.BackgroundFills
+	c.BackgroundAdmitted += s.BackgroundAdmitted
+	c.Replans += s.Replans
+	c.ResidentBytes = s.ResidentBytes
+	c.ResidentCuboids = s.ResidentCuboids
+	c.BudgetBytes = s.BudgetBytes
+	c.Policy = s.Policy
 }
 
 // RetainSnapshots drops all but the newest keep committed versions
@@ -550,23 +567,6 @@ func (m *Materialized) decodeValue(p int, code uint32) string {
 	return m.ext[p].values[int(code)-m.ext[p].base]
 }
 
-// resolveGroupBy maps groupBy names to ascending materialized positions
-// and the cuboid mask, rejecting unknown and duplicate attributes.
-func (m *Materialized) resolveGroupBy(groupBy []string) ([]int, lattice.Mask, error) {
-	var mask lattice.Mask
-	for _, name := range groupBy {
-		p, ok := m.pos[name]
-		if !ok {
-			return nil, 0, fmt.Errorf("icebergcube: %q is not a materialized dimension", name)
-		}
-		if mask.Has(p) {
-			return nil, 0, fmt.Errorf("icebergcube: duplicate group-by attribute %q", name)
-		}
-		mask |= 1 << uint(p)
-	}
-	return mask.Dims(), mask, nil
-}
-
 // Answer computes one iceberg group-by from the materialized cuboid at
 // the current snapshot: SELECT groupBy..., aggregates HAVING COUNT(*) >=
 // minSupport, for any threshold — the minsup-1 leaf loses nothing.
@@ -581,31 +581,20 @@ func (m *Materialized) Answer(groupBy []string, minSupport int64) ([]Cell, error
 // AnswerStats is Answer plus serving observability: which resident cuboid
 // answered, whether it was a cache hit, and how many cells were scanned.
 func (m *Materialized) AnswerStats(groupBy []string, minSupport int64) ([]Cell, ServeStats, error) {
-	return m.answerView(context.Background(), m.cube.Current(), groupBy, minSupport)
-}
-
-// AnswerCtx is Answer with caller cancellation: a cancelled context stops
-// the query before it starts (or blocks on) a cuboid derivation — the
-// network front-end plumbs each connection's context down here so
-// abandoned clients stop burning aggregation work.
-func (m *Materialized) AnswerCtx(ctx context.Context, groupBy []string, minSupport int64) ([]Cell, error) {
-	cells, _, err := m.AnswerStatsCtx(ctx, groupBy, minSupport)
-	return cells, err
-}
-
-// AnswerStatsCtx is AnswerCtx plus serving observability.
-func (m *Materialized) AnswerStatsCtx(ctx context.Context, groupBy []string, minSupport int64) ([]Cell, ServeStats, error) {
-	return m.answerView(ctx, m.cube.Current(), groupBy, minSupport)
+	v := m.cube.Current()
+	return m.answer(v.Srv, v.Version, groupBy, minSupport)
 }
 
 // AnswerEach streams the qualifying cells of one group-by to yield, one
 // at a time in ascending value-tuple order, without materializing the
 // []Cell slice — the network front-end uses it to chunk large cuboids
-// straight onto the wire. A non-nil error from yield aborts the
-// iteration and is returned verbatim. The returned stats are the same as
-// AnswerStats.
+// straight onto the wire. Cancelling ctx stops the query before it starts
+// (or blocks on) a cuboid derivation. A non-nil error from yield aborts
+// the iteration and is returned verbatim. The returned stats are the same
+// as AnswerStats.
 func (m *Materialized) AnswerEach(ctx context.Context, groupBy []string, minSupport int64, yield func(Cell) error) (ServeStats, error) {
-	return m.answerViewEach(ctx, m.cube.Current(), groupBy, minSupport, yield)
+	v := m.cube.Current()
+	return m.answerEach(ctx, v.Srv, v.Version, groupBy, minSupport, yield)
 }
 
 // AnswerAt is Answer pinned to a committed snapshot version — the
@@ -622,84 +611,7 @@ func (m *Materialized) AnswerStatsAt(version uint64, groupBy []string, minSuppor
 	if !ok {
 		return nil, ServeStats{}, fmt.Errorf("icebergcube: unknown snapshot version %d", version)
 	}
-	return m.answerView(context.Background(), v, groupBy, minSupport)
-}
-
-// answerView serves one group-by from one pinned snapshot.
-func (m *Materialized) answerView(ctx context.Context, v *ingest.View, groupBy []string, minSupport int64) ([]Cell, ServeStats, error) {
-	cells := []Cell{}
-	stats, err := m.answerViewEach(ctx, v, groupBy, minSupport, func(c Cell) error {
-		cells = append(cells, c)
-		return nil
-	})
-	if err != nil {
-		return nil, ServeStats{}, err
-	}
-	return cells, stats, nil
-}
-
-// answerViewEach serves one group-by from one pinned snapshot, streaming
-// qualifying cells to yield instead of accumulating them.
-func (m *Materialized) answerViewEach(ctx context.Context, v *ingest.View, groupBy []string, minSupport int64, yield func(Cell) error) (ServeStats, error) {
-	if minSupport < 1 {
-		minSupport = 1
-	}
-	order, mask, err := m.resolveGroupBy(groupBy)
-	if err != nil {
-		return ServeStats{}, err
-	}
-	cub, qs, err := v.Srv.QueryCtx(ctx, mask)
-	if err != nil {
-		return ServeStats{}, err
-	}
-	attrs := make([]string, len(order))
-	for i, p := range order {
-		attrs[i] = m.attrs[p]
-	}
-	stats := ServeStats{
-		ServedFrom:   m.maskAttrs(qs.ServedFrom),
-		CacheHit:     qs.CacheHit,
-		Coalesced:    qs.Coalesced,
-		CellsScanned: qs.CellsScanned,
-		Admitted:     qs.Admitted,
-		Version:      v.Version,
-	}
-	cond := agg.MinSupport(minSupport)
-	for i := 0; i < cub.Rows(); i++ {
-		st := cub.States[i]
-		if !cond.Holds(st) {
-			continue
-		}
-		values := make([]string, len(order))
-		if cub.Width > 0 {
-			for j, c := range cub.Row(i) {
-				values[j] = m.decodeValue(order[j], c)
-			}
-		}
-		cell := Cell{
-			Attrs:  attrs,
-			Values: values,
-			Count:  st.Count,
-			Sum:    st.Value(agg.Sum),
-			Min:    st.Value(agg.Min),
-			Max:    st.Value(agg.Max),
-			Avg:    st.Value(agg.Avg),
-		}
-		if err := yield(cell); err != nil {
-			return stats, err
-		}
-	}
-	return stats, nil
-}
-
-// maskAttrs renders a serving mask as attribute names.
-func (m *Materialized) maskAttrs(mask lattice.Mask) []string {
-	dims := mask.Dims()
-	names := make([]string, len(dims))
-	for i, p := range dims {
-		names[i] = m.attrs[p]
-	}
-	return names
+	return m.answer(v.Srv, v.Version, groupBy, minSupport)
 }
 
 // invalidate drops one group-by from the current snapshot's serving
@@ -711,80 +623,6 @@ func (m *Materialized) invalidate(groupBy []string) error {
 	}
 	m.cube.Current().Srv.Invalidate(mask)
 	return nil
-}
-
-// answerLeafRescan is the pre-serving-layer Answer: rescan every cell of
-// the current snapshot's leaf through a string-keyed map, whatever the
-// query shape. It is kept as the differential reference the oracle suite
-// and the serving benchmarks compare against.
-func (m *Materialized) answerLeafRescan(groupBy []string, minSupport int64) ([]Cell, error) {
-	if minSupport < 1 {
-		minSupport = 1
-	}
-	order, _, err := m.resolveGroupBy(groupBy)
-	if err != nil {
-		return nil, err
-	}
-	attrs := make([]string, len(order))
-	for i, p := range order {
-		attrs[i] = m.attrs[p]
-	}
-
-	// Aggregate the leaf cuboid's cells onto the requested attributes.
-	leaf := m.cube.Current().Srv.Leaf()
-	groups := make(map[string]agg.State)
-	for i := 0; i < leaf.Rows(); i++ {
-		key := leaf.Row(i)
-		sub := make([]byte, 4*len(order))
-		for j, p := range order {
-			v := key[p]
-			sub[4*j] = byte(v)
-			sub[4*j+1] = byte(v >> 8)
-			sub[4*j+2] = byte(v >> 16)
-			sub[4*j+3] = byte(v >> 24)
-		}
-		g, ok := groups[string(sub)]
-		if !ok {
-			g = agg.NewState()
-		}
-		g.Merge(leaf.States[i])
-		groups[string(sub)] = g
-	}
-
-	keys := make([][]uint32, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, results.DecodeKey(k))
-	}
-	sort.Slice(keys, func(a, b int) bool { return results.CompareTuples(keys[a], keys[b]) < 0 })
-	cond := agg.MinSupport(minSupport)
-	cells := make([]Cell, 0, len(keys))
-	for _, codes := range keys {
-		buf := make([]byte, 4*len(codes))
-		for i, v := range codes {
-			buf[4*i] = byte(v)
-			buf[4*i+1] = byte(v >> 8)
-			buf[4*i+2] = byte(v >> 16)
-			buf[4*i+3] = byte(v >> 24)
-		}
-		st := groups[string(buf)]
-		if !cond.Holds(st) {
-			continue
-		}
-		values := make([]string, len(codes))
-		for i, c := range codes {
-			values[i] = m.decodeValue(order[i], c)
-		}
-		cells = append(cells, Cell{
-			Attrs:  attrs,
-			Values: values,
-			Count:  st.Count,
-			Sum:    st.Value(agg.Sum),
-			Min:    st.Value(agg.Min),
-			Max:    st.Value(agg.Max),
-			Avg:    st.Value(agg.Avg),
-		})
-	}
-	return cells, nil
 }
 
 // NumCells returns the current snapshot's leaf cell count.

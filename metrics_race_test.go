@@ -195,7 +195,18 @@ func TestColdMetricsConcurrentReaders(t *testing.T) {
 					"rows":      cm.RowsScanned,
 					"io-reads":  cm.IO.ReadCalls,
 					"io-bytes":  cm.IO.BytesRead,
+					// The counters the cold tier inherits from the shared
+					// serving core.
+					"leaf-aggs": cm.LeafAggregations,
+					"anc-aggs":  cm.AncestorAggregations,
+					"evictions": cm.Evictions,
+					"bg-fills":  cm.BackgroundFills,
+					"replans":   cm.Replans,
 				})
+				if cm.ColdScans < cm.LeafAggregations {
+					t.Errorf("cold-reader-%d: %d leaf aggregations but only %d cold scans", r, cm.LeafAggregations, cm.ColdScans)
+					return
+				}
 				if cm.ResidentBytes > cm.BudgetBytes {
 					t.Errorf("cold-reader-%d: resident %d over budget %d", r, cm.ResidentBytes, cm.BudgetBytes)
 					return
