@@ -9,7 +9,7 @@ FUZZ_TARGETS_WAL := FuzzWALReplay
 # Segment fuzz targets (seed corpus under internal/segment/testdata/fuzz/).
 FUZZ_TARGETS_SEGMENT := FuzzSegmentReader
 
-.PHONY: build vet test short race chaos fuzz corpus serve-smoke ingest-smoke wal-smoke adaptive-smoke segment-smoke warp-smoke bench-smoke bench-e2e loc
+.PHONY: build vet test short race chaos fuzz corpus serve-smoke ingest-smoke wal-smoke adaptive-smoke segment-smoke edge-smoke bench-smoke bench-e2e bench-gate loc
 
 # The chaos suite: fault injection, failure detection and recovery tests
 # across the transport, scheduler, distributed-cube and POL layers. Every
@@ -129,19 +129,15 @@ segment-smoke:
 	go test -race -timeout 10m -count=1 -run 'TestSegment_' ./internal/exp
 
 # The HTTP-edge correctness surface under -race: the httpserve unit and
-# golden wire-format suite (admission, batching, streaming, cancellation),
-# the root-package metrics-monotonicity tests (CacheMetrics/CuboidStats/
-# ColdCube.Metrics hammered by readers while queries and commits run), the
-# cubewarp harness's own tests, and a short live cubewarp sweep — Zipf
-# query mix, durable mutations, cell-for-cell differential on sampled
-# responses, batching-on/off derivation check — whose p50/p99/p999
-# snapshot benchguard writes to BENCH_warp_<date>.json.
-warp-smoke:
-	go test -race -timeout 10m -count=1 ./internal/httpserve ./cmd/cubewarp ./cmd/icecube ./cmd/benchguard
+# golden wire-format suite (admission, identical-query flights, streaming,
+# cancellation), icecube's flag table and its serve-until-signalled
+# shutdown test, benchguard's parser and gate, and the root-package
+# metrics-monotonicity tests (CacheMetrics/CuboidStats/ColdCube.Metrics
+# hammered by readers while queries and commits run). Latency is not
+# measured here — bench-gate is the one place that is.
+edge-smoke:
+	go test -race -timeout 10m -count=1 ./internal/httpserve ./cmd/icecube ./cmd/benchguard
 	go test -race -timeout 10m -count=1 -run 'MetricsConcurrentReaders' .
-	go run ./cmd/cubewarp -ops 1500 -conc 8,64 -rows 3000 | \
-		go run ./cmd/benchguard -out BENCH_warp_$$(date +%F).json
-	go run ./cmd/cubewarp -sweep-batching -rows 2000 > /dev/null
 
 # One pass over the paper-figure benchmarks, snapshotted to BENCH_<date>.json
 # and gated against bench/baseline.json. Only allocs/op regressions fail —
@@ -162,6 +158,37 @@ WORKLOAD ?= serve_hot
 SEED ?= 1
 bench-e2e:
 	bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 10 $(BENCH_ARGS)
+
+# The one latency gate: every BENCHMARK.json workload, this tree against
+# BASE (any git ref), compared by `benchmark -compare` against the
+# bounds BENCHMARK.json fixes; exits non-zero when any end-to-end metric
+# of this tree is outside its bound. BASE is checked out as a worktree
+# under the git-ignored .bench_build/ and removed on exit. Each of PAIRS
+# rounds runs both sides back to back on the same seed, alternating which
+# goes first, because the machine drifts by more than the bounds over
+# minutes; GOMAXPROCS and GOGC are pinned for both sides and echoed (the
+# benchmark also records them in every -json line).
+PAIRS ?= 3
+BENCH_WORKLOADS := cube_batch serve_hot serve_thrash serve_write recover cold_scan
+bench-gate: export GOMAXPROCS ?= $(shell getconf _NPROCESSORS_ONLN)
+bench-gate: export GOGC ?= 100
+bench-gate:
+	@test -n "$(BASE)" || { echo 'usage: make bench-gate BASE=<git ref> [PAIRS=3]' >&2; exit 2; }
+	@set -eu; out=$(CURDIR)/.bench_build/gate; \
+	rm -rf "$$out"; mkdir -p "$$out"; git worktree prune; \
+	git worktree add --detach "$$out/base" $(BASE) >/dev/null; \
+	trap 'git worktree remove --force "$$out/base"' EXIT; \
+	echo "bench-gate: base=$$(git rev-parse --short $(BASE)) pairs=$(PAIRS) GOMAXPROCS=$$GOMAXPROCS GOGC=$$GOGC"; \
+	for w in $(BENCH_WORKLOADS); do for i in $$(seq 1 $(PAIRS)); do \
+		order="base head"; if [ $$((i % 2)) -eq 0 ]; then order="head base"; fi; \
+		for side in $$order; do \
+			dir=$(CURDIR); if [ $$side = base ]; then dir=$$out/base; fi; \
+			printf '%s %s seed=%s: ' $$side $$w $$i; \
+			(cd "$$dir" && bash benchmark/run.sh --workload $$w --seed $$i --seconds 10 -json "$$out/$$side.jsonl") | grep 'failed=0 correct=true' \
+				|| { echo 'run failed or answered wrongly'; exit 1; }; \
+		done; \
+	done; done; \
+	.bench_build/benchmark -compare "$$out/base.jsonl" "$$out/head.jsonl"
 
 # Non-test Go lines outside benchmark/ — the number ROADMAP aim 2 and the
 # simplicity PRs report.

@@ -38,10 +38,7 @@ type Snapshot struct {
 	Results   []Result `json:"results"`
 }
 
-// Result is one benchmark line. The latency fields are populated from
-// the custom p50-ns / p99-ns / p999-ns metric columns cubewarp emits
-// (bench custom metrics, `value unit` pairs after ns/op); plain go-test
-// benchmarks leave them zero with HasLatency false.
+// Result is one benchmark line.
 type Result struct {
 	Name        string  `json:"name"`
 	Iterations  int64   `json:"iterations"`
@@ -49,12 +46,6 @@ type Result struct {
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	HasMem      bool    `json:"has_mem"`
-
-	P50Ns           float64 `json:"p50_ns,omitempty"`
-	P99Ns           float64 `json:"p99_ns,omitempty"`
-	P999Ns          float64 `json:"p999_ns,omitempty"`
-	DerivesPerQuery float64 `json:"derives_per_query,omitempty"`
-	HasLatency      bool    `json:"has_latency,omitempty"`
 }
 
 // benchLine matches the fixed prefix of `go test -bench` result lines
@@ -79,17 +70,6 @@ func parseMetricPairs(rest string, res *Result) {
 		case "allocs/op":
 			res.AllocsPerOp, _ = strconv.ParseInt(val, 10, 64)
 			res.HasMem = true
-		case "p50-ns":
-			res.P50Ns, _ = strconv.ParseFloat(val, 64)
-			res.HasLatency = true
-		case "p99-ns":
-			res.P99Ns, _ = strconv.ParseFloat(val, 64)
-			res.HasLatency = true
-		case "p999-ns":
-			res.P999Ns, _ = strconv.ParseFloat(val, 64)
-			res.HasLatency = true
-		case "derives/query":
-			res.DerivesPerQuery, _ = strconv.ParseFloat(val, 64)
 		}
 	}
 }
@@ -129,7 +109,7 @@ type regression struct {
 // was frozen, so it is reported as a warning rather than gated (benchmarks
 // come and go across PRs; the gate only covers names both sides know). Of
 // the repeated names `-count=N` produces, the first occurrence wins.
-func compare(baseline, current []Result, allocSlack, allocGrace float64, timeSlack, p99Slack float64) (regs []regression, missing []string) {
+func compare(baseline, current []Result, allocSlack, allocGrace, timeSlack float64) (regs []regression, missing []string) {
 	base := map[string]Result{}
 	for _, r := range baseline {
 		base[r.Name] = r
@@ -157,12 +137,6 @@ func compare(baseline, current []Result, allocSlack, allocGrace float64, timeSla
 			regs = append(regs, regression{cur.Name, fmt.Sprintf(
 				"ns/op %.0f exceeds baseline %.0f × %.2g", cur.NsPerOp, b.NsPerOp, timeSlack)})
 		}
-		// Tail latency gates only benchmarks both sides measured it for —
-		// p99 is the serving SLO, p50 and p999 stay informational.
-		if p99Slack > 0 && cur.HasLatency && b.HasLatency && cur.P99Ns > b.P99Ns*p99Slack {
-			regs = append(regs, regression{cur.Name, fmt.Sprintf(
-				"p99 %.0fns exceeds baseline %.0fns × %.2g", cur.P99Ns, b.P99Ns, p99Slack)})
-		}
 	}
 	return regs, missing
 }
@@ -175,7 +149,6 @@ func main() {
 		allocSlack = flag.Float64("alloc-slack", 1.5, "allowed allocs/op growth factor over baseline")
 		allocGrace = flag.Float64("alloc-grace", 64, "absolute allocs/op grace added to the limit (absorbs one-time setup noise on near-zero baselines)")
 		timeSlack  = flag.Float64("time-slack", 0, "allowed ns/op growth factor (0 = no wall-time gate; CI timing is too noisy)")
-		p99Slack   = flag.Float64("p99-slack", 0, "allowed p99 latency growth factor for benchmarks with latency columns (0 = no tail-latency gate)")
 		strict     = flag.Bool("strict", false, "fail (instead of warn) on benchmarks absent from the baseline — forces every new benchmark to be frozen into the baseline in the same PR")
 		quiet      = flag.Bool("quiet", false, "do not echo the benchmark text")
 	)
@@ -229,7 +202,7 @@ func main() {
 		if err := json.Unmarshal(data, &snap); err != nil {
 			fatalf("benchguard: %s: %v", *baseline, err)
 		}
-		regs, missing := compare(snap.Results, results, *allocSlack, *allocGrace, *timeSlack, *p99Slack)
+		regs, missing := compare(snap.Results, results, *allocSlack, *allocGrace, *timeSlack)
 		for _, name := range missing {
 			if *strict {
 				fmt.Fprintf(os.Stderr, "benchguard: MISSING %s not in baseline %s (add it to the baseline)\n", name, *baseline)

@@ -51,23 +51,23 @@ func TestCompareGatesAllocs(t *testing.T) {
 		{Name: "BenchmarkZero", NsPerOp: 50, AllocsPerOp: 60, HasMem: true}, // within grace
 		{Name: "BenchmarkNew", NsPerOp: 1, AllocsPerOp: 1 << 30, HasMem: true},
 	}
-	if regs, _ := compare(base, cur, 1.5, 64, 0, 0); len(regs) != 0 {
+	if regs, _ := compare(base, cur, 1.5, 64, 0); len(regs) != 0 {
 		t.Fatalf("unexpected regressions: %v", regs)
 	}
 	// Blow the alloc limit.
 	cur[0].AllocsPerOp = 2000
-	regs, _ := compare(base, cur, 1.5, 64, 0, 0)
+	regs, _ := compare(base, cur, 1.5, 64, 0)
 	if len(regs) != 1 || regs[0].name != "BenchmarkA" {
 		t.Fatalf("want one BenchmarkA regression, got %v", regs)
 	}
 	// Grace only stretches so far on a zero baseline.
 	cur[0].AllocsPerOp = 1400
 	cur[1].AllocsPerOp = 100
-	if regs, _ := compare(base, cur, 1.5, 64, 0, 0); len(regs) != 1 {
+	if regs, _ := compare(base, cur, 1.5, 64, 0); len(regs) != 1 {
 		t.Fatalf("zero-baseline regression missed: %v", regs)
 	}
 	// Opt-in wall-time gate.
-	if regs, _ := compare(base, cur[:1], 1.5, 64, 2.0, 0); len(regs) != 1 {
+	if regs, _ := compare(base, cur[:1], 1.5, 64, 2.0); len(regs) != 1 {
 		t.Fatalf("time gate missed 5× slowdown: %v", regs)
 	}
 }
@@ -82,7 +82,7 @@ func TestCompareWarnsOnNewBenchmarks(t *testing.T) {
 		{Name: "BenchmarkFigCores_PT", AllocsPerOp: 1, HasMem: true}, // repeat: first wins
 		{Name: "BenchmarkFigCores_BPP", NsPerOp: 1e12},
 	}
-	regs, missing := compare(base, cur, 1.5, 64, 2.0, 0)
+	regs, missing := compare(base, cur, 1.5, 64, 2.0)
 	if len(regs) != 0 {
 		t.Fatalf("new benchmarks must not gate, got %v", regs)
 	}
@@ -100,63 +100,7 @@ func TestCompareKeepsLastOfRepeatedRuns(t *testing.T) {
 	}
 	// -count=N emits the name N times; the gate must not double-report,
 	// and documented behaviour is first-occurrence wins per name.
-	if regs, _ := compare(base, cur, 1.5, 64, 0, 0); len(regs) != 0 {
+	if regs, _ := compare(base, cur, 1.5, 64, 0); len(regs) != 0 {
 		t.Fatalf("first run was clean, got %v", regs)
-	}
-}
-
-const latencySample = `BenchmarkCubewarp/phase=warm/conc=64-8  12800  81234 ns/op  51000 p50-ns  210000 p99-ns  420000 p999-ns  0.0150 derives/query
-BenchmarkCubewarp/phase=cold/conc=8   800  912345 ns/op  700000 p50-ns  2400000 p99-ns  3100000 p999-ns  1.0000 derives/query  1234 B/op  17 allocs/op
-`
-
-func TestParseLatencyColumns(t *testing.T) {
-	got, err := parseBench(strings.NewReader(latencySample), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("parsed %d results, want 2", len(got))
-	}
-	warm := got[0]
-	if !warm.HasLatency || warm.P50Ns != 51000 || warm.P99Ns != 210000 || warm.P999Ns != 420000 {
-		t.Fatalf("warm latency columns: %+v", warm)
-	}
-	if warm.DerivesPerQuery != 0.015 {
-		t.Fatalf("derives/query = %v", warm.DerivesPerQuery)
-	}
-	if warm.HasMem {
-		t.Fatal("warm line has no -benchmem columns")
-	}
-	cold := got[1]
-	if !cold.HasLatency || !cold.HasMem || cold.BytesPerOp != 1234 || cold.AllocsPerOp != 17 {
-		t.Fatalf("cold line mixing latency and mem columns: %+v", cold)
-	}
-}
-
-func TestCompareGatesP99(t *testing.T) {
-	base := []Result{
-		{Name: "BenchmarkWarp", NsPerOp: 100, P99Ns: 1000, HasLatency: true},
-		{Name: "BenchmarkNoLat", NsPerOp: 100},
-	}
-	cur := []Result{
-		{Name: "BenchmarkWarp", NsPerOp: 100, P99Ns: 1400, HasLatency: true}, // within 1.5×
-		{Name: "BenchmarkNoLat", NsPerOp: 100},
-	}
-	if regs, _ := compare(base, cur, 1.5, 64, 0, 1.5); len(regs) != 0 {
-		t.Fatalf("within-slack p99 gated: %v", regs)
-	}
-	cur[0].P99Ns = 1600
-	regs, _ := compare(base, cur, 1.5, 64, 0, 1.5)
-	if len(regs) != 1 || regs[0].name != "BenchmarkWarp" {
-		t.Fatalf("want one p99 regression, got %v", regs)
-	}
-	// With the gate off (default), tail latency never fails the build.
-	if regs, _ := compare(base, cur, 1.5, 64, 0, 0); len(regs) != 0 {
-		t.Fatalf("p99 gated with slack 0: %v", regs)
-	}
-	// A benchmark that only one side measured latency for is not gated.
-	cur[0].HasLatency = false
-	if regs, _ := compare(base, cur, 1.5, 64, 0, 1.5); len(regs) != 0 {
-		t.Fatalf("one-sided latency gated: %v", regs)
 	}
 }

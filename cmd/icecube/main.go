@@ -34,19 +34,24 @@
 // With -http the process stays up as the network serving front-end over
 // whichever tier the other flags select (warm in-memory, durable with
 // -waldir, cold with an existing -segdir), with admission control and
-// identical-query batching from internal/httpserve:
+// identical-query coalescing from internal/httpserve, until SIGINT or
+// SIGTERM drains it:
 //
 //	icecube -input sales.csv -http :8080
-//	icecube -input sales.csv -waldir /var/lib/icecube/wal -http :8080 -batch-window 2ms
+//	icecube -input sales.csv -waldir /var/lib/icecube/wal -http :8080
 //	icecube -segdir /var/lib/icecube/cube -http :8080
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	icebergcube "icebergcube"
@@ -62,7 +67,6 @@ type options struct {
 	limit                         int
 	seed, minsup, memlimit        int64
 	parallel, stats               bool
-	batchWindow                   time.Duration
 }
 
 // validateFlags rejects flag combinations that would otherwise be
@@ -81,12 +85,6 @@ func validateFlags(o options) error {
 	}
 	if o.waldir != "" && o.segdir != "" {
 		return fmt.Errorf("-waldir and -segdir select different storage tiers: pass one")
-	}
-	if o.batchWindow != 0 && o.httpA == "" {
-		return fmt.Errorf("-batch-window only applies to the HTTP front-end: add -http ADDR")
-	}
-	if o.batchWindow < 0 {
-		return fmt.Errorf("-batch-window must be >= 0, got %v", o.batchWindow)
 	}
 	if o.httpA != "" && o.memlimit > 0 {
 		return fmt.Errorf("-http serves queries; the out-of-core computation (-memlimit) is a batch run — drop one")
@@ -108,24 +106,23 @@ func validateFlags(o options) error {
 
 func main() {
 	var (
-		input       = flag.String("input", "", "CSV file (header; last column = measure)")
-		synthetic   = flag.Int("synthetic", 0, "generate the weather-like workload with this many tuples instead of reading CSV")
-		seed        = flag.Int64("seed", 2001, "synthetic-data seed")
-		dims        = flag.String("dims", "", "comma-separated cube dimensions (default: all)")
-		minsup      = flag.Int64("minsup", 1, "iceberg threshold: HAVING COUNT(*) >= minsup")
-		algo        = flag.String("algo", "", "algorithm: RP, BPP, ASL, PT, AHT (default: recipe recommendation)")
-		workers     = flag.Int("workers", 8, "number of simulated cluster nodes")
-		parallel    = flag.Bool("parallel", false, "run workers on real goroutines")
-		cores       = flag.Int("cores", 1, "intra-worker execution-pool width (wall clock only; results identical)")
-		cuboid      = flag.String("cuboid", "", "print this group-by's cells (comma-separated attributes; empty = summary only)")
-		limit       = flag.Int("limit", 20, "max cells to print")
-		stats       = flag.Bool("stats", false, "print per-worker simulated loads; with -waldir, dump cache metrics and the per-cuboid stats table after the serve run")
-		waldir      = flag.String("waldir", "", "serve durably: write-ahead log directory (created, or recovered from if it already holds a log)")
-		policy      = flag.String("policy", "lru", "serving-cache admission policy with -waldir or -http: lru or adaptive")
-		segdir      = flag.String("segdir", "", "columnar segment directory: flush the cube there (with -input/-synthetic), or serve/compute from an existing table")
-		memlimit    = flag.Int64("memlimit", 0, "with -segdir: compute the cube out-of-core under this resident-byte budget instead of serving")
-		httpAddr    = flag.String("http", "", "serve the HTTP front-end on this address (e.g. :8080) instead of a one-shot run")
-		batchWindow = flag.Duration("batch-window", 0, "with -http: identical-query batching window (0 = off)")
+		input     = flag.String("input", "", "CSV file (header; last column = measure)")
+		synthetic = flag.Int("synthetic", 0, "generate the weather-like workload with this many tuples instead of reading CSV")
+		seed      = flag.Int64("seed", 2001, "synthetic-data seed")
+		dims      = flag.String("dims", "", "comma-separated cube dimensions (default: all)")
+		minsup    = flag.Int64("minsup", 1, "iceberg threshold: HAVING COUNT(*) >= minsup")
+		algo      = flag.String("algo", "", "algorithm: RP, BPP, ASL, PT, AHT (default: recipe recommendation)")
+		workers   = flag.Int("workers", 8, "number of simulated cluster nodes")
+		parallel  = flag.Bool("parallel", false, "run workers on real goroutines")
+		cores     = flag.Int("cores", 1, "intra-worker execution-pool width (wall clock only; results identical)")
+		cuboid    = flag.String("cuboid", "", "print this group-by's cells (comma-separated attributes; empty = summary only)")
+		limit     = flag.Int("limit", 20, "max cells to print")
+		stats     = flag.Bool("stats", false, "print per-worker simulated loads; with -waldir, dump cache metrics and the per-cuboid stats table after the serve run")
+		waldir    = flag.String("waldir", "", "serve durably: write-ahead log directory (created, or recovered from if it already holds a log)")
+		policy    = flag.String("policy", "lru", "serving-cache admission policy with -waldir or -http: lru or adaptive")
+		segdir    = flag.String("segdir", "", "columnar segment directory: flush the cube there (with -input/-synthetic), or serve/compute from an existing table")
+		memlimit  = flag.Int64("memlimit", 0, "with -segdir: compute the cube out-of-core under this resident-byte budget instead of serving")
+		httpAddr  = flag.String("http", "", "serve the HTTP front-end on this address (e.g. :8080) instead of a one-shot run")
 	)
 	flag.Parse()
 
@@ -134,7 +131,7 @@ func main() {
 		waldir: *waldir, policy: *policy, segdir: *segdir, httpA: *httpAddr,
 		synthetic: *synthetic, workers: *workers, cores: *cores, limit: *limit,
 		seed: *seed, minsup: *minsup, memlimit: *memlimit,
-		parallel: *parallel, stats: *stats, batchWindow: *batchWindow,
+		parallel: *parallel, stats: *stats,
 	}
 	if err := validateFlags(opts); err != nil {
 		fmt.Fprintln(os.Stderr, "icecube:", err)
@@ -143,7 +140,13 @@ func main() {
 	}
 
 	if *httpAddr != "" {
-		serveHTTP(opts)
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		if err := serveHTTP(ctx, opts, func(addr net.Addr) {
+			fmt.Printf("listening on %s (GET /v1/query, /v1/dims, /v1/metrics, /healthz)\n", addr)
+		}); err != nil {
+			fatal(err)
+		}
 		return
 	}
 
@@ -229,19 +232,24 @@ func main() {
 	}
 }
 
+// shutdownGrace is how long in-flight requests get to finish once the
+// server has been told to stop.
+const shutdownGrace = 10 * time.Second
+
 // serveHTTP runs the network front-end over whichever tier the flags
 // select: an existing -segdir serves cold (read-only), -waldir serves
 // the durable warm engine with mutations enabled, and plain input data
 // serves an in-memory materialization (read-only — nothing would
-// survive a restart).
-func serveHTTP(o options) {
+// survive a restart). It calls listening once the socket is bound, serves
+// until ctx is done, drains, and closes the cube (and so its log).
+func serveHTTP(ctx context.Context, o options, listening func(net.Addr)) (retErr error) {
 	var backend httpserve.Backend
 	allowMut := false
 	switch {
 	case o.segdir != "" && hasManifest(o.segdir):
 		cold, err := icebergcube.OpenCold(o.segdir, 0)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		backend = httpserve.Cold(cold)
 		fmt.Printf("serving cold table %s: %d rows, dims %s\n",
@@ -249,7 +257,7 @@ func serveHTTP(o options) {
 	default:
 		ds, err := load(o.input, o.synthetic, o.seed)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		var dimList []string
 		if o.dims != "" {
@@ -262,9 +270,8 @@ func serveHTTP(o options) {
 			var recovered bool
 			m, recovered, err = icebergcube.OpenDurable(ds, dimList, o.workers, o.waldir)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			defer m.Close()
 			allowMut = true
 			verb := "materialized"
 			if recovered {
@@ -275,29 +282,53 @@ func serveHTTP(o options) {
 		} else {
 			m, err = icebergcube.Materialize(ds, dimList, o.workers)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			fmt.Printf("materialized in-memory cube (v%d, %d leaf cells), read-only\n",
 				m.Version(), m.NumCells())
 		}
+		defer func() {
+			if err := m.Close(); retErr == nil {
+				retErr = err
+			}
+		}()
 		if o.policy != "" && o.policy != string(icebergcube.CacheLRU) {
 			if err := m.SetCachePolicy(icebergcube.CachePolicyConfig{Policy: icebergcube.CachePolicy(o.policy)}); err != nil {
-				fatal(err)
+				return err
 			}
 		}
 		backend = httpserve.Warm(m)
 	}
 
-	srv := httpserve.New(httpserve.Config{
-		Backend:        backend,
-		BatchWindow:    o.batchWindow,
-		AllowMutations: allowMut,
-	})
-	fmt.Printf("listening on %s (batch window %v; GET /v1/query, /v1/dims, /v1/metrics, /healthz)\n",
-		o.httpA, o.batchWindow)
-	if err := http.ListenAndServe(o.httpA, srv); err != nil {
-		fatal(err)
+	ln, err := net.Listen("tcp", o.httpA)
+	if err != nil {
+		return err
 	}
+	listening(ln.Addr())
+	srv := &http.Server{
+		Handler: httpserve.New(httpserve.Config{Backend: backend, AllowMutations: allowMut}),
+		// Bound what a stalled or silent peer can hold. No write timeout: an
+		// NDJSON dump streams for as long as its client keeps reading.
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	// Stop accepting, let in-flight requests finish within the grace,
+	// then cut whatever is left so the log can be closed.
+	grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if err := srv.Shutdown(grace); err != nil {
+		srv.Close()
+	}
+	<-served // http.ErrServerClosed: Shutdown was called
+	return nil
 }
 
 // serveDurable runs the durable serving path: materialize into (or

@@ -22,10 +22,11 @@ var adaptiveBudgetDivisors = []int64{16, 4, 1}
 // query stream is served twice at each byte budget, once under LRU and
 // once under the benefit-per-byte adaptive policy (synchronous re-plans,
 // fixed seed, so the run is deterministic), and the two are compared on
-// hit rate and per-query service time. Every 16th query is additionally
-// checked cell-for-cell across the two servers — the in-run equivalence
-// oracle: residency must never change an answer. Like "serve", this
-// measures host wall clock.
+// hit rate, on the cells and rows each had to scan to answer the stream
+// (both exact for a given seed), and on per-query service time (host
+// wall clock, like "serve"). Every 16th query is additionally checked
+// cell-for-cell across the two servers — the in-run equivalence oracle:
+// residency must never change an answer.
 func Adaptive(c Config) (*Table, error) {
 	c = c.withDefaults()
 	rel, dims := workload(c)
@@ -52,9 +53,9 @@ func Adaptive(c Config) (*Table, error) {
 		ID:     "adaptive",
 		Title:  "Adaptive vs LRU cuboid admission under Zipf traffic",
 		XLabel: "budget KB",
-		YLabel: "hit % and µs per query (host wall clock)",
+		YLabel: "hit %, cells+rows scanned, µs per query (host wall clock)",
 	}
-	names := []string{"lru-hit%", "adaptive-hit%", "lru-us", "adaptive-us"}
+	names := []string{"lru-hit%", "adaptive-hit%", "lru-scan", "adaptive-scan", "lru-us", "adaptive-us"}
 	for _, n := range names {
 		t.Series = append(t.Series, Series{Name: n})
 	}
@@ -117,7 +118,7 @@ func Adaptive(c Config) (*Table, error) {
 					return runStats{}, nil, err
 				}
 				us[i] = time.Since(start).Seconds() * 1e6
-				scanned += int64(qs.CellsScanned)
+				scanned += int64(qs.CellsScanned) + qs.RowsScanned
 				if i%16 == 0 {
 					sampled = append(sampled, cub)
 				}
@@ -164,8 +165,10 @@ func Adaptive(c Config) (*Table, error) {
 		kb := float64(budget >> 10)
 		t.Series[0].Points = append(t.Series[0].Points, Point{X: kb, Y: lruStats.hitRate})
 		t.Series[1].Points = append(t.Series[1].Points, Point{X: kb, Y: adaStats.hitRate})
-		t.Series[2].Points = append(t.Series[2].Points, Point{X: kb, Y: lruStats.meanUs})
-		t.Series[3].Points = append(t.Series[3].Points, Point{X: kb, Y: adaStats.meanUs})
+		t.Series[2].Points = append(t.Series[2].Points, Point{X: kb, Y: float64(lruStats.scannedAgg)})
+		t.Series[3].Points = append(t.Series[3].Points, Point{X: kb, Y: float64(adaStats.scannedAgg)})
+		t.Series[4].Points = append(t.Series[4].Points, Point{X: kb, Y: lruStats.meanUs})
+		t.Series[5].Points = append(t.Series[5].Points, Point{X: kb, Y: adaStats.meanUs})
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"budget %dKB (leaf/%d): lru hit %.1f%% p50 %.1fµs p99 %.1fµs evict %d scan %d | adaptive hit %.1f%% p50 %.1fµs p99 %.1fµs evict %d replans %d scan %d",
 			budget>>10, div,

@@ -8,7 +8,7 @@ import (
 
 // Backend is the slice of the serving stack the HTTP front-end needs:
 // dimension names for request validation, a streaming answer path, and
-// enough observability to report batching effectiveness. Both the warm
+// enough observability to report coalescing effectiveness. Both the warm
 // (Materialized) and cold (ColdCube) tiers satisfy it through one
 // adapter, so one front-end serves either.
 type Backend interface {
@@ -23,11 +23,7 @@ type Backend interface {
 	AnswerEach(ctx context.Context, groupBy []string, minSupport int64, yield func(icebergcube.Cell) error) (uint64, error)
 	// Derivations returns the cumulative count of cuboid computations the
 	// backend has performed (cache hits and coalesced waits excluded).
-	// cubewarp uses the delta across a sweep to measure derivations/query.
 	Derivations() int64
-	// ResetCache drops every cached cuboid except the pinned leaf, so
-	// cold-phase sweeps start from a known state.
-	ResetCache()
 }
 
 // Mutator is the optional write-side a backend may expose; the front-end
@@ -42,7 +38,6 @@ type Mutator interface {
 type cube interface {
 	Attrs() []string
 	AnswerEach(ctx context.Context, groupBy []string, minSupport int64, yield func(icebergcube.Cell) error) (icebergcube.ServeStats, error)
-	ResetCache()
 }
 
 // adapter is the one Backend implementation, over either tier.

@@ -13,8 +13,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden wire-fo
 // TestGoldenWireFormat pins the exact bytes of the /v1/query JSON
 // contract. If this test fails you changed the wire format: bump it
 // deliberately (go test ./internal/httpserve -run Golden -update-golden)
-// and say so in the changelog — cubewarp's differential and any external
-// client parse these bytes.
+// and say so in the changelog — external clients parse these bytes.
 func TestGoldenWireFormat(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	cases := []struct {

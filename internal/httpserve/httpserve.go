@@ -1,12 +1,12 @@
 // Package httpserve is the network edge of the iceberg-cube serving
 // stack: an HTTP front-end layering request admission (bounded queue +
 // per-tenant token buckets + fast 429 shedding), identical-query
-// batching (a short window coalescing equal queries into one derivation
-// and one encoded buffer), and chunked streaming responses over the
-// warm/cold serving tiers. Context cancellation is plumbed from the
-// connection down through the serving layer's singleflight, so a hung-up
-// client stops consuming cube capacity as soon as the layers below can
-// observe it.
+// coalescing (equal buffered queries that overlap in time share one
+// derivation and one encoded buffer), and chunked streaming responses
+// over the warm/cold serving tiers. Context cancellation is plumbed from
+// the connection down through the serving layer's singleflight, so a
+// hung-up client stops consuming cube capacity as soon as the layers
+// below can observe it.
 package httpserve
 
 import (
@@ -17,7 +17,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	icebergcube "icebergcube"
 )
@@ -29,10 +28,6 @@ type Config struct {
 	// Admission bounds concurrent work; the zero value gets serving
 	// defaults (64 slots, 256 queued, no tenant quotas).
 	Admission AdmissionConfig
-	// BatchWindow is how long the first arrival of an identical query
-	// holds the window open for others to join (0 disables batching;
-	// singleflight below still coalesces overlapping derivations).
-	BatchWindow time.Duration
 	// StreamFlushCells flushes a streaming response to the client every
 	// this many cells (≤ 0 = 256).
 	StreamFlushCells int
@@ -49,13 +44,12 @@ type Config struct {
 //	GET  /v1/dims
 //	GET  /v1/metrics
 //	POST /v1/mutate   (when enabled; body: MutateRequest)
-//	POST /v1/reset    (drop cached cuboids; used between sweep phases)
 //	GET  /healthz
 type Server struct {
 	backend Backend
 	mutator Mutator
 	adm     *admission
-	batch   *batcher
+	flights *flights
 	flushN  int
 	mux     *http.ServeMux
 }
@@ -110,6 +104,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		backend: cfg.Backend,
 		adm:     newAdmission(cfg.Admission),
+		flights: &flights{backend: cfg.Backend, active: map[flightKey]*flight{}},
 		flushN:  cfg.StreamFlushCells,
 	}
 	if s.flushN <= 0 {
@@ -120,16 +115,12 @@ func New(cfg Config) *Server {
 			s.mutator = m
 		}
 	}
-	s.batch = newBatcher(cfg.BatchWindow, func(ctx context.Context, groupBy []string, minSupport int64) ([]byte, error) {
-		return EncodeQuery(ctx, s.backend, groupBy, minSupport)
-	})
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/query", s.handleQuery)
 	mux.HandleFunc("GET /v1/dims", s.handleDims)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	mux.HandleFunc("POST /v1/mutate", s.handleMutate)
-	mux.HandleFunc("POST /v1/reset", s.handleReset)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintln(w, `{"ok":true}`)
@@ -144,7 +135,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 func (s *Server) Metrics() ServerMetrics {
 	return ServerMetrics{
 		Admission:   s.adm.metrics(),
-		Batch:       s.batch.metrics(),
+		Batch:       s.flights.metrics(),
 		Derivations: s.backend.Derivations(),
 		Version:     s.backend.Version(),
 	}
@@ -213,7 +204,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	body, err := s.batch.do(ctx, canonical, minSupport, s.backend.Version())
+	body, err := s.flights.do(ctx, canonical, minSupport, s.backend.Version())
 	if err != nil {
 		if ctx.Err() != nil {
 			writeError(w, 499, "client closed request")
@@ -230,8 +221,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // streamQuery writes the NDJSON form: one StreamHeader line, one line
 // per cell, one StreamTrailer line — flushing every flushN cells so a
 // full-lattice dump reaches the client incrementally and never buffers
-// the whole result server-side. Streams bypass the batcher: their cost
-// is dominated by encoding, which cannot be shared across connections.
+// the whole result server-side. Streams bypass the flights: their bytes
+// go to the socket as they are produced, so there is no buffer to share.
 func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, canonical []string, minSupport int64) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
@@ -335,10 +326,4 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		Deleted:  len(req.Deletes),
 		Version:  s.backend.Version(),
 	})
-}
-
-func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
-	s.backend.ResetCache()
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintln(w, `{"ok":true}`)
 }

@@ -5,11 +5,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -96,7 +94,7 @@ func TestQueryMatchesAnswer(t *testing.T) {
 
 // TestGroupByCanonicalization: attribute order in the URL is irrelevant —
 // the two spellings return byte-identical bodies (and therefore share a
-// batch key).
+// flight key).
 func TestGroupByCanonicalization(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	a := get(t, s, "/v1/query?group_by=Model,Year", nil)
@@ -185,18 +183,91 @@ func TestStreaming(t *testing.T) {
 	}
 }
 
-// blockingBackend delegates to an inner backend but parks AnswerEach on
-// a gate so tests can hold execution slots open deterministically.
+// blockingBackend answers from an inner backend, then parks on a gate
+// before yielding anything, so tests can hold an answer — already
+// computed at the version current when it was asked for — in flight
+// deterministically. It counts calls, and calls that ended because their
+// context was cancelled while parked.
 type blockingBackend struct {
 	Backend
-	gate    chan struct{}
-	entered chan struct{}
+	gate      chan struct{}
+	entered   chan struct{}
+	calls     atomic.Int64
+	cancelled atomic.Int64
+}
+
+func newBlockingBackend(b Backend) *blockingBackend {
+	// entered is sized so a test expecting one call reports a surplus
+	// one as a count mismatch instead of deadlocking on the send.
+	return &blockingBackend{Backend: b, gate: make(chan struct{}), entered: make(chan struct{}, 128)}
 }
 
 func (b *blockingBackend) AnswerEach(ctx context.Context, groupBy []string, minSupport int64, yield func(icebergcube.Cell) error) (uint64, error) {
+	b.calls.Add(1)
+	var cells []icebergcube.Cell
+	version, err := b.Backend.AnswerEach(ctx, groupBy, minSupport, func(c icebergcube.Cell) error {
+		cells = append(cells, c)
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
 	b.entered <- struct{}{}
-	<-b.gate
-	return b.Backend.AnswerEach(ctx, groupBy, minSupport, yield)
+	select {
+	case <-b.gate:
+	case <-ctx.Done():
+		b.cancelled.Add(1)
+		return 0, ctx.Err()
+	}
+	for _, c := range cells {
+		if err := yield(c); err != nil {
+			return 0, err
+		}
+	}
+	return version, nil
+}
+
+// waitFor polls cond until it holds; the conditions tests wait on are
+// counters the server publishes, which have no channel to select on.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// flightStats reports how many flights are registered and how many
+// requests are still waiting across them.
+func flightStats(s *Server) (flights, waiting int) {
+	s.flights.mu.Lock()
+	defer s.flights.mu.Unlock()
+	for _, f := range s.flights.active {
+		waiting += f.waiting
+	}
+	return len(s.flights.active), waiting
+}
+
+func assertNoFlight(t *testing.T, s *Server) {
+	t.Helper()
+	if n, _ := flightStats(s); n != 0 {
+		t.Fatalf("%d flight(s) left registered", n)
+	}
+}
+
+// getAsync issues a GET on its own goroutine under ctx and delivers the
+// recorder when the handler returns.
+func getAsync(ctx context.Context, s *Server, url string) <-chan *httptest.ResponseRecorder {
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("GET", url, nil).WithContext(ctx))
+		done <- rec
+	}()
+	return done
 }
 
 // TestAdmissionQueueFull: with one slot and no queue, a request arriving
@@ -204,7 +275,7 @@ func (b *blockingBackend) AnswerEach(ctx context.Context, groupBy []string, minS
 // header.
 func TestAdmissionQueueFull(t *testing.T) {
 	m := fixtureCube(t)
-	bb := &blockingBackend{Backend: Warm(m), gate: make(chan struct{}), entered: make(chan struct{}, 1)}
+	bb := newBlockingBackend(Warm(m))
 	s := New(Config{Backend: bb, Admission: AdmissionConfig{MaxConcurrent: 1, MaxQueue: -1}})
 
 	firstDone := make(chan *httptest.ResponseRecorder, 1)
@@ -266,95 +337,188 @@ func TestTenantRateLimit(t *testing.T) {
 	}
 }
 
-// TestBatchingCoalesces: many identical queries inside one window share
-// one derivation and receive byte-identical bodies, even though the
-// cache is too small to retain anything (so every separate request
-// would otherwise derive).
-func TestBatchingCoalesces(t *testing.T) {
-	s, m := newTestServer(t, Config{BatchWindow: 60 * time.Millisecond})
-	m.SetCacheBudget(1) // nothing fits: every un-batched miss re-derives
+const burstURL = "/v1/query?group_by=Model,Year,Color&min_support=1"
 
-	const G = 64
-	before := s.Metrics().Derivations
-	bodies := make([][]byte, G)
-	var wg sync.WaitGroup
-	for i := 0; i < G; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Stagger arrivals across a fraction of the window: all join
-			// the leader's batch, none arrive "while in flight" by luck.
-			time.Sleep(time.Duration(i%8) * time.Millisecond)
-			rec := get(t, s, "/v1/query?group_by=Model,Year,Color&min_support=1", nil)
-			if rec.Code == 200 {
-				bodies[i] = rec.Body.Bytes()
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	for i := 1; i < G; i++ {
-		if bodies[i] == nil || !bytes.Equal(bodies[i], bodies[0]) {
-			t.Fatalf("body %d differs (nil=%v)", i, bodies[i] == nil)
-		}
-	}
-	bm := s.Metrics().Batch
-	if bm.Joined != G {
-		t.Fatalf("Joined = %d, want %d", bm.Joined, G)
-	}
-	derived := s.Metrics().Derivations - before
-	// Timer scheduling may split the arrivals across a couple of windows,
-	// but the point of batching is that derivations ≪ queries.
-	if bm.Batches < 1 || bm.Batches > 4 {
-		t.Fatalf("Batches = %d, want a handful", bm.Batches)
-	}
-	if derived > bm.Batches {
-		t.Fatalf("%d derivations for %d batches", derived, bm.Batches)
-	}
-	if bm.MaxBatch < G/4 {
-		t.Fatalf("MaxBatch = %d, implausibly small for %d staggered arrivals", bm.MaxBatch, G)
-	}
+// burstServer is a server over the fixture cube whose backend parks
+// every answer until the test opens the gate.
+func burstServer(t *testing.T) (*Server, *blockingBackend, *icebergcube.Materialized) {
+	t.Helper()
+	m := fixtureCube(t)
+	bb := newBlockingBackend(Warm(m))
+	return New(Config{Backend: bb}), bb, m
 }
 
-// TestBatchAllAbandoned: if every member of a window hangs up before it
-// closes, the backend is never called for that window.
-func TestBatchAllAbandoned(t *testing.T) {
-	var runs atomic.Int64
-	b := newBatcher(20*time.Millisecond, func(ctx context.Context, groupBy []string, minSupport int64) ([]byte, error) {
-		runs.Add(1)
-		return []byte("x"), nil
-	})
+// burstBody is the body burstURL must be answered with at m's current
+// version.
+func burstBody(t *testing.T, m *icebergcube.Materialized) []byte {
+	t.Helper()
+	want, err := EncodeQuery(context.Background(), Warm(m), []string{"Model", "Year", "Color"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestBatchingCoalesces: identical queries that overlap one encode share
+// it — one backend call, and every response is the bytes EncodeQuery
+// produces.
+func TestBatchingCoalesces(t *testing.T) {
+	s, bb, m := burstServer(t)
+	const G = 64
+	var reqs []<-chan *httptest.ResponseRecorder
+	for i := 0; i < G; i++ {
+		reqs = append(reqs, getAsync(context.Background(), s, burstURL))
+	}
+	waitFor(t, "all requests to join the flight", func() bool { return s.Metrics().Batch.Joined == G })
+	close(bb.gate)
+
+	want := burstBody(t, m)
+	for i, ch := range reqs {
+		rec := <-ch
+		if rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("response %d: status %d, body differs from EncodeQuery:\n%s\n%s", i, rec.Code, rec.Body, want)
+		}
+	}
+	if n := bb.calls.Load(); n != 1 {
+		t.Fatalf("%d backend calls for one identical burst, want 1", n)
+	}
+	if bm := s.Metrics().Batch; bm != (BatchMetrics{Batches: 1, Joined: G, MaxBatch: G}) {
+		t.Fatalf("batch metrics %+v", bm)
+	}
+	assertNoFlight(t, s)
+}
+
+// TestFlightSurvivesFirstArrivalDisconnect: the request that started the
+// encode hangs up while others wait on it; the encode is not cancelled
+// and every other waiter still gets the full body.
+func TestFlightSurvivesFirstArrivalDisconnect(t *testing.T) {
+	s, bb, m := burstServer(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := b.do(ctx, []string{"A"}, 1, 1)
-		done <- err
-	}()
-	// Wait until the request has opened its window, then hang up.
-	for {
-		b.mu.Lock()
-		n := len(b.pending)
-		b.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	first := getAsync(ctx, s, burstURL)
+	<-bb.entered // the first arrival's encode is parked in the backend
+
+	const F = 8
+	var followers []<-chan *httptest.ResponseRecorder
+	for i := 0; i < F; i++ {
+		followers = append(followers, getAsync(context.Background(), s, burstURL))
 	}
+	waitFor(t, "followers to join", func() bool { _, w := flightStats(s); return w == F+1 })
 	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	// Let the window close and assert it skipped the derivation.
-	deadline := time.Now().Add(time.Second)
-	for b.metrics().Skipped == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("window never closed as skipped")
+	waitFor(t, "the first arrival to count out", func() bool { _, w := flightStats(s); return w == F })
+	close(bb.gate)
+
+	want := burstBody(t, m)
+	for i, ch := range followers {
+		rec := <-ch
+		if rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("follower %d: status %d body %s", i, rec.Code, rec.Body)
 		}
-		time.Sleep(time.Millisecond)
 	}
-	if runs.Load() != 0 {
-		t.Fatalf("backend ran %d times for an abandoned window", runs.Load())
+	if rec := <-first; rec.Code != 499 {
+		t.Fatalf("disconnected first arrival: status %d, want 499", rec.Code)
 	}
+	if calls, cancelled := bb.calls.Load(), bb.cancelled.Load(); calls != 1 || cancelled != 0 {
+		t.Fatalf("%d backend calls (%d cancelled), want 1 uncancelled", calls, cancelled)
+	}
+	assertNoFlight(t, s)
+}
+
+// TestBatchAllAbandoned: when every waiter of a flight hangs up, the
+// backend's context is cancelled, the flight is unregistered, and the
+// next request starts a fresh encode instead of joining the dead one.
+func TestBatchAllAbandoned(t *testing.T) {
+	s, bb, _ := burstServer(t)
+	const W = 4
+	var reqs []<-chan *httptest.ResponseRecorder
+	var cancels []context.CancelFunc
+	for i := 0; i < W; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancels = append(cancels, cancel)
+		reqs = append(reqs, getAsync(ctx, s, burstURL))
+	}
+	<-bb.entered
+	waitFor(t, "all waiters to join", func() bool { _, w := flightStats(s); return w == W })
+	for _, cancel := range cancels {
+		cancel()
+	}
+	for i, ch := range reqs {
+		if rec := <-ch; rec.Code != 499 {
+			t.Fatalf("abandoned request %d: status %d, want 499", i, rec.Code)
+		}
+	}
+	if calls, cancelled := bb.calls.Load(), bb.cancelled.Load(); calls != 1 || cancelled != 1 {
+		t.Fatalf("%d backend calls (%d cancelled), want the one call cancelled", calls, cancelled)
+	}
+	assertNoFlight(t, s)
+
+	next := getAsync(context.Background(), s, burstURL)
+	<-bb.entered
+	close(bb.gate)
+	if rec := <-next; rec.Code != 200 {
+		t.Fatalf("request after an abandoned flight: status %d: %s", rec.Code, rec.Body)
+	}
+	if n := bb.calls.Load(); n != 2 {
+		t.Fatalf("%d backend calls, want a fresh second one", n)
+	}
+	assertNoFlight(t, s)
+}
+
+// TestFlightKeyedByVersion: a commit between two identical requests
+// changes the key, so the second never receives bytes encoded for the
+// version the first one's flight is holding.
+func TestFlightKeyedByVersion(t *testing.T) {
+	s, bb, m := burstServer(t)
+	v0 := m.Version()
+	before := getAsync(context.Background(), s, burstURL)
+	<-bb.entered // the answer at v0 is computed and parked
+
+	if err := m.Append([][]string{{"tesla", "1991", "red"}}, []float64{99}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	after := getAsync(context.Background(), s, burstURL)
+	<-bb.entered // a second backend call: it did not join the v0 flight
+	if n, _ := flightStats(s); n != 2 {
+		t.Fatalf("%d flights registered across a commit, want 2", n)
+	}
+	close(bb.gate)
+
+	var old, cur QueryResponse
+	if err := json.Unmarshal((<-before).Body.Bytes(), &old); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal((<-after).Body.Bytes(), &cur); err != nil {
+		t.Fatal(err)
+	}
+	if old.Version != v0 || cur.Version != v0+1 {
+		t.Fatalf("versions served %d then %d, want %d then %d", old.Version, cur.Version, v0, v0+1)
+	}
+	if len(cur.Cells) != len(old.Cells)+1 {
+		t.Fatalf("post-commit answer has %d cells, pre-commit %d: the appended row is missing", len(cur.Cells), len(old.Cells))
+	}
+	assertNoFlight(t, s)
+}
+
+// TestFlightSharedAcrossAttributeOrder: attribute-order permutations of
+// one group-by share a flight.
+func TestFlightSharedAcrossAttributeOrder(t *testing.T) {
+	s, bb, _ := burstServer(t)
+	a := getAsync(context.Background(), s, "/v1/query?group_by=Model,Year&min_support=2")
+	<-bb.entered
+	b := getAsync(context.Background(), s, "/v1/query?group_by=Year,Model&min_support=2")
+	waitFor(t, "the permutation to join", func() bool { _, w := flightStats(s); return w == 2 })
+	close(bb.gate)
+	ra, rb := <-a, <-b
+	if ra.Code != 200 || rb.Code != 200 || !bytes.Equal(ra.Body.Bytes(), rb.Body.Bytes()) {
+		t.Fatalf("status %d / %d, bodies:\n%s\n%s", ra.Code, rb.Code, ra.Body, rb.Body)
+	}
+	if n := bb.calls.Load(); n != 1 {
+		t.Fatalf("%d backend calls for two spellings of one group-by, want 1", n)
+	}
+	assertNoFlight(t, s)
 }
 
 // TestMutateRoundTrip: appended rows become visible after commit, and
@@ -504,9 +668,8 @@ func TestClientDisconnectCancelsQuery(t *testing.T) {
 	}
 }
 
-// TestEncodeQueryDifferential: EncodeQuery (what cubewarp uses to build
-// expected bodies) and the live handler produce identical bytes — the
-// invariant the load harness's live differential rests on.
+// TestEncodeQueryDifferential: EncodeQuery (what the tests use to build
+// expected bodies) and the live handler produce identical bytes.
 func TestEncodeQueryDifferential(t *testing.T) {
 	s, m := newTestServer(t, Config{})
 	for _, gb := range [][]string{nil, {"Model"}, {"Year", "Model"}, {"Model", "Year", "Color"}} {

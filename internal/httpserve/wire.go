@@ -11,9 +11,9 @@ import (
 )
 
 // The JSON wire format of /v1/query is a public contract: a golden-file
-// test pins the exact bytes, and the cubewarp load harness re-derives
-// expected bodies through the same encoder to cross-check live responses
-// byte for byte. Change it only together with the golden files.
+// test pins the exact bytes, and the tests re-derive expected bodies
+// through the same encoder to cross-check live responses byte for byte.
+// Change it only together with the golden files.
 
 // QueryResponse is the non-streaming response body of GET /v1/query.
 type QueryResponse struct {
@@ -95,10 +95,9 @@ func CanonicalGroupBy(attrs, groupBy []string) ([]string, error) {
 }
 
 // EncodeQuery answers one group-by from the backend and encodes the
-// canonical non-streaming response body. The batcher calls it once per
-// window and fans the returned buffer out to every member; the cubewarp
-// differential verifier calls it in-process to produce the expected
-// bytes a live HTTP response must match exactly.
+// canonical non-streaming response body. A flight calls it once and hands
+// the returned buffer to every waiter; tests call it in-process to
+// produce the expected bytes a live HTTP response must match exactly.
 func EncodeQuery(ctx context.Context, b Backend, groupBy []string, minSupport int64) ([]byte, error) {
 	canonical, err := CanonicalGroupBy(b.Attrs(), groupBy)
 	if err != nil {
