@@ -9,7 +9,7 @@ FUZZ_TARGETS_WAL := FuzzWALReplay
 # Segment fuzz targets (seed corpus under internal/segment/testdata/fuzz/).
 FUZZ_TARGETS_SEGMENT := FuzzSegmentReader
 
-.PHONY: build vet test short race chaos fuzz corpus serve-smoke ingest-smoke wal-smoke adaptive-smoke segment-smoke edge-smoke bench-smoke bench-e2e bench-gate loc
+.PHONY: build vet test short race chaos fuzz corpus serve-smoke ingest-smoke wal-smoke adaptive-smoke segment-smoke edge-smoke bench-smoke bench-e2e bench-gate loc leftovers
 
 # The chaos suite: fault injection, failure detection and recovery tests
 # across the transport, scheduler, distributed-cube and POL layers. Every
@@ -194,3 +194,8 @@ bench-gate:
 # simplicity PRs report.
 loc:
 	@git ls-files '*.go' ':!*_test.go' ':!benchmark' | xargs cat | wc -l
+
+# Processes this checkout left running (see scripts/leftovers.sh); exits 1
+# if there are any. Run it before handing a change in.
+leftovers:
+	@bash scripts/leftovers.sh

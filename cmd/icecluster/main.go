@@ -14,12 +14,15 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net"
 	"os"
 	"os/exec"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"icebergcube/internal/agg"
@@ -57,6 +60,9 @@ func main() {
 }
 
 // launch reserves loopback ports and spawns one child process per rank.
+// The ranks live under one context: SIGINT or SIGTERM to the launcher, or
+// the first rank to fail, kills every rank still running, and launch
+// returns only once each child has been reaped.
 func launch(np, tuples, dims int, minsup, seed int64, pol bool) error {
 	addrs := make([]string, np)
 	for i := range addrs {
@@ -71,10 +77,14 @@ func launch(np, tuples, dims int, minsup, seed int64, pol bool) error {
 	if err != nil {
 		return err
 	}
+	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	ctx, cancel := context.WithCancel(sigCtx)
+	defer cancel()
 	fmt.Printf("launching %d ranks: %v\n", np, addrs)
-	procs := make([]*exec.Cmd, np)
+	errs := make(chan error, np)
 	for r := 0; r < np; r++ {
-		cmd := exec.Command(self,
+		cmd := exec.CommandContext(ctx, self,
 			"-rank", fmt.Sprint(r),
 			"-world", strings.Join(addrs, ","),
 			"-tuples", fmt.Sprint(tuples),
@@ -86,14 +96,22 @@ func launch(np, tuples, dims int, minsup, seed int64, pol bool) error {
 		cmd.Stdout = os.Stdout
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
-			return fmt.Errorf("starting rank %d: %w", r, err)
+			errs <- fmt.Errorf("starting rank %d: %w", r, err)
+			continue
 		}
-		procs[r] = cmd
+		go func(r int) {
+			err := cmd.Wait()
+			if err != nil {
+				err = fmt.Errorf("rank %d: %w", r, err)
+			}
+			errs <- err
+		}(r)
 	}
 	var firstErr error
-	for r, cmd := range procs {
-		if err := cmd.Wait(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("rank %d: %w", r, err)
+	for r := 0; r < np; r++ {
+		if err := <-errs; err != nil && firstErr == nil {
+			firstErr = err
+			cancel()
 		}
 	}
 	return firstErr

@@ -350,8 +350,7 @@ func serveDurable(ds *icebergcube.Dataset, dimList []string, waldir string, work
 		fmt.Printf("recovered %d committed snapshot(s) from %s (head v%d, %d rows, %d leaf cells)\n",
 			len(snaps), waldir, m.Version(), snaps[len(snaps)-1].Rows, m.NumCells())
 	} else {
-		fmt.Printf("materialized %d leaf cells into %s (v%d, simulated precompute %.2fs on %d workers)\n",
-			m.NumCells(), waldir, m.Version(), m.PrecomputeSeconds, workers)
+		fmt.Printf("materialized %d leaf cells into %s (v%d)\n", m.NumCells(), waldir, m.Version())
 	}
 	if cuboid != "" {
 		attrs := strings.Split(cuboid, ",")

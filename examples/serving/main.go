@@ -20,14 +20,13 @@ func run(w io.Writer) error {
 	ds := icebergcube.SyntheticWeather(30000, 2001)
 	dims := ds.PickDimsByCardinalityProduct(9, 13)
 
-	// Materialize the finest cuboid once (minsup 1, 8 simulated workers);
-	// everything after this is answered without touching the raw data.
+	// Materialize the finest cuboid once (minsup 1); everything after this
+	// is answered without touching the raw data.
 	mat, err := icebergcube.Materialize(ds, dims, 8)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "materialized leaf: %d cells over %d dimensions (%.2fs simulated precompute)\n\n",
-		mat.NumCells(), len(dims), mat.PrecomputeSeconds)
+	fmt.Fprintf(w, "materialized leaf: %d cells over %d dimensions\n\n", mat.NumCells(), len(dims))
 
 	show := func(groupBy []string, minsup int64) error {
 		cells, stats, err := mat.AnswerStats(groupBy, minsup)

@@ -31,13 +31,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"icebergcube/internal/agg"
-	"icebergcube/internal/results"
 	"icebergcube/internal/serve"
 	"icebergcube/internal/wal"
 )
@@ -138,20 +138,13 @@ func keyEqual(a, b []uint32) bool {
 	return true
 }
 
-// appendKeyBytes renders key as little-endian bytes (the layout
-// results.DecodeKey reverses) onto dst.
+// appendKeyBytes renders key as little-endian bytes onto dst — the map
+// key under which a commit nets its batch per cell.
 func appendKeyBytes(dst []byte, key []uint32) []byte {
 	for _, v := range key {
 		dst = append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 	}
 	return dst
-}
-
-// keyString is the string form of appendKeyBytes (tests and the delta-
-// ordering path use it; the hot row/pending indexes do not).
-func keyString(key []uint32) string {
-	buf := make([]byte, 0, 4*len(key))
-	return string(appendKeyBytes(buf, key))
 }
 
 // rowStore is the raw tuple multiset backing exact re-derivation of
@@ -695,10 +688,11 @@ func (c *Cube) commitLocked(start time.Time, logIt bool) (Snapshot, error) {
 	// to the row store as we go (Delete validated availability, so the
 	// store removes cannot fail).
 	type cellDelta struct {
+		key      []uint32 // aliases pendKeys, which is not written again before we return
 		add, del agg.State
 	}
 	touched := make(map[string]*cellDelta, len(c.pending))
-	order := make([]string, 0, len(c.pending))
+	order := make([]*cellDelta, 0, len(c.pending))
 	var kbuf []byte
 	appended, deleted := 0, 0
 	cards := append([]int(nil), c.cards...)
@@ -707,10 +701,9 @@ func (c *Cube) commitLocked(start time.Time, logIt bool) (Snapshot, error) {
 		kbuf = appendKeyBytes(kbuf[:0], key)
 		cd, ok := touched[string(kbuf)]
 		if !ok {
-			cd = &cellDelta{add: agg.NewState(), del: agg.NewState()}
-			k := string(kbuf) // one allocation per distinct cell
-			touched[k] = cd
-			order = append(order, k)
+			cd = &cellDelta{key: key, add: agg.NewState(), del: agg.NewState()}
+			touched[string(kbuf)] = cd // one allocation per distinct cell
+			order = append(order, cd)
 		}
 		if o.del {
 			c.store.remove(key, o.meas)
@@ -733,13 +726,10 @@ func (c *Cube) commitLocked(start time.Time, logIt bool) (Snapshot, error) {
 	c.cards = cards
 
 	// Leaf-level delta in ascending tuple order.
-	sort.Slice(order, func(a, b int) bool {
-		return results.CompareTuples(results.DecodeKey(order[a]), results.DecodeKey(order[b])) < 0
-	})
+	slices.SortFunc(order, func(a, b *cellDelta) int { return slices.Compare(a.key, b.key) })
 	delta := &serve.Delta{Width: c.width}
-	for _, k := range order {
-		delta.Keys = append(delta.Keys, results.DecodeKey(k)...)
-		cd := touched[k]
+	for _, cd := range order {
+		delta.Keys = append(delta.Keys, cd.key...)
 		delta.Add = append(delta.Add, cd.add)
 		delta.Del = append(delta.Del, cd.del)
 	}

@@ -10,6 +10,12 @@ import (
 	"icebergcube/internal/serve"
 )
 
+// keyString is the string form of appendKeyBytes, a comparable map key.
+func keyString(key []uint32) string {
+	buf := make([]byte, 0, 4*len(key))
+	return string(appendKeyBytes(buf, key))
+}
+
 // buildCube materializes a cube directly from rows (the test-local stand-
 // in for the §5.1 precomputation): leaf = exact aggregation of the rows.
 func buildCube(width int, keys []uint32, meas []float64, cards []int, budget int64) *Cube {

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"icebergcube/internal/agg"
 	"icebergcube/internal/lattice"
-	"icebergcube/internal/results"
 	"icebergcube/internal/serve"
 	"icebergcube/internal/wal"
 )
@@ -67,7 +65,7 @@ func replayRecords(recs []wal.Record, budgetBytes int64, aux func([]byte) error)
 		return nil, fmt.Errorf("%w: malformed base record (width %d, %d cards, %d codes, %d measures)",
 			ErrRecovery, base.Width, len(base.Cards), len(base.Keys), len(base.Meas))
 	}
-	leaf := buildLeaf(base.Width, base.Keys, base.Meas)
+	leaf := serve.LeafFromRows(base.Width, base.Keys, base.Meas, base.Cards)
 	c := New(leaf, base.Keys, base.Meas, base.Cards, budgetBytes)
 
 	var warm []uint32
@@ -114,21 +112,4 @@ func (c *Cube) replayCommit() (Snapshot, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.commitLocked(start, false)
-}
-
-// buildLeaf materializes the exact leaf cuboid of a row multiset — the
-// recovery-time equivalent of the §5.1 precomputation New expects.
-func buildLeaf(width int, keys []uint32, meas []float64) *serve.Cuboid {
-	set := results.NewSet()
-	var mask lattice.Mask
-	for p := 0; p < width; p++ {
-		mask |= 1 << uint(p)
-	}
-	for i := range meas {
-		st := agg.NewState()
-		st.Add(meas[i])
-		set.WriteCell(mask, keys[i*width:(i+1)*width], st)
-	}
-	k, s := set.CuboidColumns(mask)
-	return &serve.Cuboid{Mask: mask, Width: width, Keys: k, States: s}
 }

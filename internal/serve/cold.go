@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"icebergcube/internal/agg"
 	"icebergcube/internal/lattice"
@@ -24,13 +25,6 @@ type ColdSource interface {
 	// Scan streams the given dimension columns and the measure.
 	Scan(dims []int, yield func(cols [][]uint32, meas []float64) error) error
 }
-
-// chunkMask is the sentinel mask carried by the per-chunk staging cuboid
-// handed to aggregateFrom. It only needs to differ from every real query
-// mask (aggregateFrom short-circuits on mask equality, and a raw unsorted
-// chunk must never be returned as a result); all bits set can never be a
-// query because queries are subsets of the leaf width.
-const chunkMask = ^lattice.Mask(0)
 
 // coldLeaf is the streamed leaf source: the finest cuboid stays in a
 // ColdSource and is aggregated straight off it, one projected chunk at a
@@ -57,14 +51,13 @@ func (c coldLeaf) pinned() *Cuboid { return nil }
 func (c coldLeaf) rows() int       { return c.src.Rows() }
 
 // aggregate streams the queried columns from the store and folds each
-// chunk into a running sorted cuboid: chunk rows become a staging cuboid,
-// aggregateFrom sorts and merges them, and mergeCuboids folds the result
-// into the accumulator. The context is checked before each chunk so an
-// abandoned query aborts the scan instead of reading the rest of the
-// table.
+// chunk into a running sorted cuboid: LeafFromRows groups the chunk's rows
+// into a cuboid over q's columns, and mergeCuboids folds it into the
+// accumulator. The context is checked before each chunk so an abandoned
+// query aborts the scan instead of reading the rest of the table.
 func (c coldLeaf) aggregate(ctx context.Context, q lattice.Mask, cards []int, sc *relation.Scratch, st *QueryStats) (*Cuboid, error) {
-	idCols, qCards := project(cards, q, q)
-	w := len(idCols)
+	_, qCards := project(cards, q, q)
+	w := len(qCards)
 	acc := &Cuboid{Mask: q, Width: w}
 	var scanned int64
 	err := c.src.Scan(q.Dims(), func(cols [][]uint32, meas []float64) error {
@@ -76,22 +69,16 @@ func (c coldLeaf) aggregate(ctx context.Context, q lattice.Mask, cards []int, sc
 			return nil
 		}
 		scanned += int64(n)
-		stage := &Cuboid{Mask: chunkMask, Width: w}
-		if w > 0 {
-			stage.Keys = make([]uint32, 0, n*w)
-			for i := 0; i < n; i++ {
-				for _, col := range cols {
-					stage.Keys = append(stage.Keys, col[i])
-				}
+		keys := sc.Uint32s(n * w)
+		for i := 0; i < n; i++ {
+			for _, col := range cols {
+				keys = append(keys, col[i])
 			}
 		}
-		stage.States = make([]agg.State, n)
-		for i, m := range meas {
-			s := agg.NewState()
-			s.Add(m)
-			stage.States[i] = s
-		}
-		acc = mergeCuboids(acc, aggregateFrom(stage, q, idCols, qCards, sc))
+		chunk := leafFromRows(w, keys, meas, qCards, sc)
+		sc.PutUint32s(keys)
+		chunk.Mask = q
+		acc = mergeCuboids(acc, chunk)
 		return nil
 	})
 	if err != nil {
@@ -126,7 +113,7 @@ func mergeCuboids(a, b *Cuboid) *Cuboid {
 	}
 	i, j := 0, 0
 	for i < an && j < bn {
-		cmp := compareRows(a.Row(i), b.Row(j))
+		cmp := slices.Compare(a.Row(i), b.Row(j))
 		switch {
 		case cmp < 0:
 			out.Keys = append(out.Keys, a.Row(i)...)
@@ -154,17 +141,4 @@ func mergeCuboids(a, b *Cuboid) *Cuboid {
 		out.States = append(out.States, b.States[j])
 	}
 	return out
-}
-
-// compareRows orders two equal-length key tuples lexicographically.
-func compareRows(a, b []uint32) int {
-	for i := range a {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	return 0
 }

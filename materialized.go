@@ -6,13 +6,8 @@ import (
 	"strconv"
 	"sync"
 
-	"icebergcube/internal/agg"
 	"icebergcube/internal/cluster"
-	"icebergcube/internal/core"
-	"icebergcube/internal/exp"
 	"icebergcube/internal/ingest"
-	"icebergcube/internal/lattice"
-	"icebergcube/internal/results"
 	"icebergcube/internal/serve"
 )
 
@@ -55,9 +50,6 @@ type Materialized struct {
 	polMu  sync.Mutex
 	bgExec *serve.Background
 	bgPool *cluster.Pool
-
-	// PrecomputeSeconds is the simulated parallel precomputation time.
-	PrecomputeSeconds float64
 }
 
 // extDim is one dimension's dictionary extension for appended values.
@@ -315,46 +307,20 @@ func (m *Materialized) CuboidStats() []CuboidStat {
 }
 
 // Materialize precomputes the finest cuboid over dims (nil = all data-set
-// dimensions) in parallel on `workers` simulated nodes. The cuboid is kept
-// at minimum support 1 — exactly as the paper's §5.1 plan does — because a
-// filtered leaf would undercount coarser group-bys (cells below the floor
-// still contribute to their ancestors' aggregates). The result is
-// published as snapshot version 1.
+// dimensions): one radix group-by of the rows, projected onto dims. The
+// cuboid is kept at minimum support 1 — exactly as the paper's §5.1 plan
+// does — because a filtered leaf would undercount coarser group-bys
+// (cells below the floor still contribute to their ancestors'
+// aggregates). The result is published as snapshot version 1. workers no
+// longer affects the build; it is kept for source compatibility.
 func Materialize(ds *Dataset, dims []string, workers int) (*Materialized, error) {
 	idx, err := ds.resolveDims(dims)
 	if err != nil {
 		return nil, err
 	}
-	if workers <= 0 {
-		workers = 8
-	}
-	set := results.NewSet()
-	rep, err := exp.PrecomputeLeaf(core.Run{
-		Rel:     ds.rel,
-		Dims:    idx,
-		Cond:    agg.MinSupport(1),
-		Workers: workers,
-		Sink:    set,
-		Seed:    1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	m := newMaterialized(ds, idx)
-	cards := make([]int, len(idx))
-	for i, d := range idx {
-		cards[i] = ds.rel.Card(d)
-	}
-	var fullMask lattice.Mask
-	for p := range idx {
-		fullMask |= 1 << uint(p)
-	}
-	keys, states := set.CuboidColumns(fullMask)
-	leaf := &serve.Cuboid{Mask: fullMask, Width: len(idx), Keys: keys, States: states}
-
-	// The raw rows, projected onto the materialized dimensions, back the
-	// write path: exact re-derivation of non-retractable cells and
-	// delete validation.
+	// The raw rows, projected onto the materialized dimensions, are both
+	// the leaf's input and the write path's row store: exact re-derivation
+	// of non-retractable cells and delete validation.
 	n := ds.rel.Len()
 	rowKeys := make([]uint32, 0, n*len(idx))
 	meas := make([]float64, n)
@@ -364,9 +330,12 @@ func Materialize(ds *Dataset, dims []string, workers int) (*Materialized, error)
 		}
 		meas[row] = ds.rel.Measure(row)
 	}
-
-	m.cube = ingest.New(leaf, rowKeys, meas, cards, 0)
-	m.PrecomputeSeconds = rep.Makespan
+	cards := make([]int, len(idx))
+	for i, d := range idx {
+		cards[i] = ds.rel.Card(d)
+	}
+	m := newMaterialized(ds, idx)
+	m.cube = ingest.New(serve.LeafFromRows(len(idx), rowKeys, meas, cards), rowKeys, meas, cards, 0)
 	return m, nil
 }
 

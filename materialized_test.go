@@ -1,6 +1,15 @@
 package icebergcube
 
-import "testing"
+import (
+	"math"
+	"slices"
+	"testing"
+
+	"icebergcube/internal/agg"
+	"icebergcube/internal/core"
+	"icebergcube/internal/exp"
+	"icebergcube/internal/results"
+)
 
 // TestMaterializedAnswersMatchCompute: every group-by answered from the
 // §5.1 leaf precomputation equals the full cube's cuboid — at thresholds
@@ -39,20 +48,50 @@ func TestMaterializedAnswersMatchCompute(t *testing.T) {
 	}
 }
 
-// TestMaterializedIsPrecomputedOnce: answering is served from memory (the
-// cell count equals the distinct finest-group count) and the precompute
-// time is reported.
+// TestMaterializedIsPrecomputedOnce: answering is served from memory —
+// the leaf holds exactly one cell per distinct finest-group tuple.
 func TestMaterializedIsPrecomputedOnce(t *testing.T) {
 	ds := Synthetic([]string{"A", "B"}, []int{4, 3}, nil, 300, 1)
 	mat, err := Materialize(ds, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mat.NumCells() == 0 || mat.NumCells() > 12 {
-		t.Fatalf("leaf cuboid has %d cells, want ≤ 4×3", mat.NumCells())
+	distinct := make(map[[2]uint32]bool)
+	for row := 0; row < ds.rel.Len(); row++ {
+		distinct[[2]uint32{ds.rel.Value(0, row), ds.rel.Value(1, row)}] = true
 	}
-	if mat.PrecomputeSeconds <= 0 {
-		t.Fatal("no precompute time reported")
+	if mat.NumCells() != len(distinct) {
+		t.Fatalf("leaf cuboid has %d cells, want %d distinct (A, B) tuples", mat.NumCells(), len(distinct))
+	}
+}
+
+// TestMaterializeLeafMatchesPrecompute: the radix-built leaf of a
+// serving-cube-shaped data set (weather, 6 dims) equals, cell for cell,
+// the leaf of the paper's simulated 8-worker precompute decoded from its
+// results.Set.
+func TestMaterializeLeafMatchesPrecompute(t *testing.T) {
+	ds := SyntheticWeather(20000, 2001)
+	dims := ds.PickDimsByCardinalityProduct(6, 7)
+	mat, err := Materialize(ds, dims, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := results.NewSet()
+	if _, err := exp.PrecomputeLeaf(core.Run{
+		Rel: ds.rel, Dims: mat.dims, Cond: agg.MinSupport(1), Workers: 8, Sink: set, Seed: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got := mat.cube.Current().Srv.Leaf()
+	keys, states := set.CuboidColumns(got.Mask)
+	if got.Mask.Count() != len(dims) || got.Rows() != len(states) || !slices.Equal(got.Keys, keys) {
+		t.Fatalf("leaf has %d cells over mask %b, precompute %d (or keys differ)", got.Rows(), got.Mask, len(states))
+	}
+	for i, w := range states {
+		s := got.States[i]
+		if s.Count != w.Count || math.Abs(s.Sum-w.Sum) > 1e-9 || s.Min != w.Min || s.Max != w.Max {
+			t.Fatalf("cell %d %v: state %+v, want %+v", i, got.Row(i), s, w)
+		}
 	}
 }
 
