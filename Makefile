@@ -9,7 +9,7 @@ FUZZ_TARGETS_WAL := FuzzWALReplay
 # Segment fuzz targets (seed corpus under internal/segment/testdata/fuzz/).
 FUZZ_TARGETS_SEGMENT := FuzzSegmentReader
 
-.PHONY: build vet test short race chaos fuzz corpus serve-smoke ingest-smoke wal-smoke adaptive-smoke segment-smoke edge-smoke bench-smoke bench-e2e bench-gate loc leftovers
+.PHONY: build vet test short race chaos fuzz corpus bench-smoke bench-e2e bench-gate loc leftovers
 
 # The chaos suite: fault injection, failure detection and recovery tests
 # across the transport, scheduler, distributed-cube and POL layers. Every
@@ -31,17 +31,27 @@ test: vet build
 short:
 	go test -short ./...
 
-# The heavy experiment sweeps skip themselves under -race; the algorithms'
-# race coverage comes from core/cluster/mpi/oracle.
+# The one -race run of every package, so of every correctness suite: the
+# serving (internal/serve, the root differential oracle), maintenance
+# (internal/ingest, the root maintenance and metamorphic oracles), WAL
+# (internal/wal, the crash-recovery oracle, the durable round trip),
+# adaptive (the policy suite, the adaptive-vs-LRU twins), segment
+# (internal/segment, the spill kernel, the cold-tier oracle) and edge
+# (internal/httpserve, cmd/icecube, cmd/benchguard, the metrics-under-load
+# tests) suites. Only the heavy paper-figure sweeps in internal/exp skip
+# themselves under -race; the algorithms' race coverage comes from
+# core/cluster/mpi/oracle.
 race:
 	go test -race -timeout 15m ./...
 
 chaos:
 	go test -race -timeout 10m -count=1 -run $(CHAOS_RUN) $(CHAOS_PKGS)
 
-# Run each fuzz target for $(FUZZTIME). Checked-in corpus entries under
-# internal/oracle/testdata/fuzz/ and testdata/fuzz/ also replay as
-# regression tests in `make test`.
+# Run each fuzz target for $(FUZZTIME) (CI's fuzz-smoke job runs this).
+# Checked-in corpus entries under internal/oracle/testdata/fuzz/,
+# testdata/fuzz/, internal/wal/testdata/fuzz/ and
+# internal/segment/testdata/fuzz/ also replay as regression tests in
+# `make test`.
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		echo "== $$t =="; \
@@ -68,77 +78,6 @@ corpus:
 	WAL_GENCORPUS=1 go test ./internal/wal -run TestGenWALCorpus -count=1
 	SEGMENT_GENCORPUS=1 go test ./internal/segment -run TestGenSegmentCorpus -count=1
 
-# The serving layer's correctness surface under -race: the internal/serve
-# unit suite (cache invariants, singleflight, ancestor selection), the
-# root-package differential oracle (served answers byte-identical to the
-# legacy leaf rescan and full Compute, concurrent queriers under eviction
-# pressure), and the serve experiment's live ≥5× speedup check.
-serve-smoke:
-	go test -race -timeout 10m -count=1 ./internal/serve
-	go test -race -timeout 10m -count=1 -run 'Serving|AnswerRejects' .
-	go test -race -timeout 10m -count=1 -run 'TestServe_' ./internal/exp
-
-# The incremental-maintenance correctness surface under -race: the
-# internal/ingest unit suite (commit engine, delete validation, version
-# retention) and internal/serve delta folds, the root-package maintenance
-# oracle (fuzzed mutation scripts proven cell-for-cell against scratch
-# recompute at every version, metamorphic laws, concurrent readers pinned
-# to versions while a writer commits), and the ingest experiment's live
-# commit-beats-recompute and hit-rate-preservation checks.
-ingest-smoke:
-	go test -race -timeout 10m -count=1 ./internal/ingest ./internal/serve
-	go test -race -timeout 10m -count=1 -run 'IncrementalMaintenance|Metamorphic|ConcurrentReadersPinned' .
-	go test -race -timeout 10m -count=1 -run 'TestIngest_' ./internal/exp
-
-# The durability correctness surface under -race: the internal/wal unit
-# suite (framing, rotation, torn-tail and bit-flip truncation, transient
-# retry, the FaultFS crash sweep), the ingest crash-recovery oracle (kill
-# at every mutating filesystem op — with and without bit flips — and
-# prove the recovered cube is cell-for-cell a committed prefix), and the
-# root-package durable round trip (dictionary extensions, time travel,
-# on-disk restart).
-wal-smoke:
-	go test -race -timeout 10m -count=1 ./internal/wal ./internal/ingest
-	go test -race -timeout 10m -count=1 -run 'Durable|OpenDurable' .
-
-# The adaptive-admission correctness surface under -race: the internal/serve
-# policy suite (plan determinism, cost-aware eviction, background fills,
-# commit handoff), the commit-vs-background-fill race test, the root-package
-# adaptive-vs-LRU equivalence oracle (byte-identical answers across budgets,
-# commits and time travel, with and without a background executor), and the
-# adaptive experiment's live hit-rate/latency win over LRU.
-adaptive-smoke:
-	go test -race -timeout 10m -count=1 ./internal/serve
-	go test -race -timeout 10m -count=1 -run 'TestCommitRacesBackgroundFills' ./internal/ingest
-	go test -race -timeout 10m -count=1 -run 'TestAdaptive' .
-	go test -timeout 10m -count=1 -run 'TestAdaptive_' ./internal/exp
-
-# The columnar cold-tier correctness surface under -race: the
-# internal/segment unit suite (bit-packing, zone-map pruning, checksummed
-# framing, bit-flip/truncation detection), the out-of-core spill kernel's
-# differential and budget-bound tests, the root-package segment oracle
-# (flush→load→Answer byte-identical round trip including dictionary
-# extensions, cold-tier answers cell-for-cell equal to the warm server
-# with measured-I/O assertions, out-of-core BUC/BPP equal to in-memory
-# Compute across budgets forcing multi-level spill), and the segment
-# experiment's live cold/warm equality and budget checks.
-segment-smoke:
-	go test -race -timeout 10m -count=1 ./internal/segment
-	go test -race -timeout 10m -count=1 -run 'TestSpill' ./internal/core
-	go test -race -timeout 10m -count=1 -run 'SegmentRoundTrip|ColdAnswerMatchesWarm|ComputeOutOfCore' .
-	go test -race -timeout 10m -count=1 -run 'TestSegment_' ./internal/exp
-
-# The HTTP-edge correctness surface under -race: the httpserve unit and
-# golden wire-format suite (admission, identical-query flights, streaming,
-# cancellation), icecube's flag table and its serve-until-signalled
-# shutdown test, benchguard's parser and gate, and the root-package
-# metrics-monotonicity tests (CacheMetrics/CuboidStats/ColdCube.Metrics
-# hammered by readers while queries and commits run). Latency is not
-# measured here — bench-gate is the one place that is.
-edge-smoke:
-	go test -race -timeout 10m -count=1 ./internal/httpserve ./cmd/icecube ./cmd/benchguard
-	go test -race -timeout 10m -count=1 -run 'MetricsConcurrentReaders' .
-
 # One pass over the paper-figure benchmarks, snapshotted to BENCH_<date>.json
 # and gated against bench/baseline.json. Only allocs/op regressions fail —
 # the sort/partition kernels are zero-allocation in steady state, so the
@@ -146,7 +85,7 @@ edge-smoke:
 # -strict makes a benchmark that is absent from the baseline a failure, so
 # every new benchmark must be frozen into bench/baseline.json in its own PR.
 bench-smoke:
-	go test -run xxx -bench 'BenchmarkFig|BenchmarkSec5_1|BenchmarkServe|BenchmarkAdaptive|BenchmarkCommit|BenchmarkIngest|BenchmarkWAL|BenchmarkRecover|BenchmarkSegment|BenchmarkSpill' -benchmem -benchtime 1x -timeout 30m . | \
+	go test -run xxx -bench 'BenchmarkFig|BenchmarkSec5_1|BenchmarkServe|BenchmarkCommit|BenchmarkWAL|BenchmarkRecover|BenchmarkSegment|BenchmarkSpill' -benchmem -benchtime 1x -timeout 30m . | \
 		go run ./cmd/benchguard -strict -out BENCH_$$(date +%F).json -baseline bench/baseline.json
 
 # One run of the repo's end-to-end benchmark (BENCHMARK.json): builds into

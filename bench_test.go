@@ -98,15 +98,6 @@ func benchCores(b *testing.B, algo string) {
 func BenchmarkFigCores_PT(b *testing.B)  { benchCores(b, "PT") }
 func BenchmarkFigCores_BPP(b *testing.B) { benchCores(b, "BPP") }
 
-// BenchmarkServeExperiment replays the whole serving-layer experiment
-// (arity sweep + Zipf workload), as cubebench -exp serve runs it.
-func BenchmarkServeExperiment(b *testing.B) { runExpBench(b, "serve") }
-
-// BenchmarkAdaptiveExperiment replays the adaptive-vs-LRU admission
-// experiment (identical Zipf streams at three byte budgets, in-run
-// equivalence oracle on), as cubebench -exp adaptive runs it.
-func BenchmarkAdaptiveExperiment(b *testing.B) { runExpBench(b, "adaptive") }
-
 // BenchmarkServe measures the serving layer's regimes on the
 // weather-shaped dataset against the legacy full-leaf rescan it replaced.
 // The acceptance bar for the serving PR: ancestor/cache-served coarse
@@ -287,10 +278,6 @@ func BenchmarkCommit(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkIngestExperiment replays the whole incremental-maintenance
-// experiment (delta sweep vs recompute), as cubebench -exp ingest runs it.
-func BenchmarkIngestExperiment(b *testing.B) { runExpBench(b, "ingest") }
 
 func BenchmarkFig4_7_Recipe(b *testing.B) {
 	profiles := []Profile{
@@ -720,7 +707,3 @@ func BenchmarkSpillBUC(b *testing.B) {
 	b.Run("InCore", func(b *testing.B) { run(b, 1<<30) })
 	b.Run("Spill", func(b *testing.B) { run(b, 128<<10) })
 }
-
-// BenchmarkSegmentExperiment replays the columnar cold-tier experiment
-// (regime sweep + out-of-core check), as cubebench -exp segment runs it.
-func BenchmarkSegmentExperiment(b *testing.B) { runExpBench(b, "segment") }

@@ -141,6 +141,23 @@ func compare(baseline, current []Result, allocSlack, allocGrace, timeSlack float
 	return regs, missing
 }
 
+// stale returns, in baseline order, the baseline rows no current result
+// matches: a gated benchmark that stopped running, or stopped matching
+// the -bench pattern, would otherwise leave its row checking nothing.
+func stale(baseline, current []Result) []string {
+	ran := map[string]bool{}
+	for _, cur := range current {
+		ran[cur.Name] = true
+	}
+	var out []string
+	for _, b := range baseline {
+		if !ran[b.Name] {
+			out = append(out, b.Name)
+		}
+	}
+	return out
+}
+
 func main() {
 	var (
 		in         = flag.String("in", "", "benchmark output file (default stdin)")
@@ -149,7 +166,7 @@ func main() {
 		allocSlack = flag.Float64("alloc-slack", 1.5, "allowed allocs/op growth factor over baseline")
 		allocGrace = flag.Float64("alloc-grace", 64, "absolute allocs/op grace added to the limit (absorbs one-time setup noise on near-zero baselines)")
 		timeSlack  = flag.Float64("time-slack", 0, "allowed ns/op growth factor (0 = no wall-time gate; CI timing is too noisy)")
-		strict     = flag.Bool("strict", false, "fail (instead of warn) on benchmarks absent from the baseline — forces every new benchmark to be frozen into the baseline in the same PR")
+		strict     = flag.Bool("strict", false, "fail (instead of warn) on benchmarks absent from the baseline and on baseline rows that no benchmark ran — the baseline must list exactly the gated benchmarks")
 		quiet      = flag.Bool("quiet", false, "do not echo the benchmark text")
 	)
 	flag.Parse()
@@ -210,10 +227,18 @@ func main() {
 				fmt.Fprintf(os.Stderr, "benchguard: WARNING %s not in baseline %s (new benchmark, not gated)\n", name, *baseline)
 			}
 		}
+		gone := stale(snap.Results, results)
+		for _, name := range gone {
+			if *strict {
+				fmt.Fprintf(os.Stderr, "benchguard: STALE %s in baseline %s but not run (delete the row or run the benchmark)\n", name, *baseline)
+			} else {
+				fmt.Fprintf(os.Stderr, "benchguard: WARNING %s in baseline %s but not run (not gated)\n", name, *baseline)
+			}
+		}
 		for _, r := range regs {
 			fmt.Fprintf(os.Stderr, "benchguard: REGRESSION %s: %s\n", r.name, r.what)
 		}
-		if len(regs) > 0 || (*strict && len(missing) > 0) {
+		if len(regs) > 0 || (*strict && len(missing)+len(gone) > 0) {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "benchguard: %d benchmarks within limits of %s\n", len(results), *baseline)

@@ -1,6 +1,11 @@
 package main
 
 import (
+	"encoding/json"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -102,5 +107,58 @@ func TestCompareKeepsLastOfRepeatedRuns(t *testing.T) {
 	// and documented behaviour is first-occurrence wins per name.
 	if regs, _ := compare(base, cur, 1.5, 64, 0); len(regs) != 0 {
 		t.Fatalf("first run was clean, got %v", regs)
+	}
+}
+
+// TestStrictFailsOnStaleBaselineRow: a baseline row that no benchmark
+// ran — it was deleted, renamed, or fell out of the -bench pattern —
+// gates nothing, so -strict must fail on it and name it; without
+// -strict it is a warning.
+func TestStrictFailsOnStaleBaselineRow(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "benchguard")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	base, err := json.Marshal(Snapshot{Results: []Result{
+		{Name: "BenchmarkFig3_6_IO", AllocsPerOp: 8046, HasMem: true},
+		{Name: "BenchmarkGone", AllocsPerOp: 10, HasMem: true},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := filepath.Join(dir, "baseline.json")
+	in := filepath.Join(dir, "bench.txt")
+	if err := os.WriteFile(baseline, base, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run1 := "BenchmarkFig3_6_IO-8 \t 3\t 704947515 ns/op\t94761354 B/op\t    8046 allocs/op\n"
+	if err := os.WriteFile(in, []byte(run1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(args ...string) (string, int) {
+		t.Helper()
+		out, err := exec.Command(bin, append([]string{"-quiet", "-in", in, "-baseline", baseline}, args...)...).CombinedOutput()
+		var exit *exec.ExitError
+		switch {
+		case err == nil:
+			return string(out), 0
+		case errors.As(err, &exit):
+			return string(out), exit.ExitCode()
+		}
+		t.Fatalf("benchguard: %v\n%s", err, out)
+		return "", 0
+	}
+
+	out, code := run("-strict")
+	if code != 1 || !strings.Contains(out, "STALE BenchmarkGone") {
+		t.Fatalf("-strict: exit %d, want 1 naming BenchmarkGone:\n%s", code, out)
+	}
+	if strings.Contains(out, "STALE BenchmarkFig3_6_IO") {
+		t.Fatalf("-strict flagged a row that ran:\n%s", out)
+	}
+	out, code = run()
+	if code != 0 || !strings.Contains(out, "WARNING BenchmarkGone") {
+		t.Fatalf("default: exit %d, want 0 with a warning for BenchmarkGone:\n%s", code, out)
 	}
 }

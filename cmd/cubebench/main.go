@@ -13,7 +13,6 @@
 //	cubebench -exp fig4.2      # one experiment
 //	cubebench -tuples 50000    # custom size
 //	cubebench -cores 4         # intra-worker pools (faster wall clock, same results)
-//	cubebench -exp serve -cachemb 16   # serving layer with a 16 MB cuboid cache
 //	cubebench -json out.json   # machine-readable series + wall times
 //	cubebench -cpuprofile p.out -exp fig4.2   # profile one experiment
 package main
@@ -57,7 +56,6 @@ func main() {
 		full       = flag.Bool("full", false, "use the paper's full sizes (176,631 CUBE / 1,000,000 POL); slow")
 		seed       = flag.Int64("seed", 2001, "workload seed")
 		cores      = flag.Int("cores", 1, "intra-worker execution-pool width (wall clock only; results are identical)")
-		cachemb    = flag.Int("cachemb", 64, "serving-layer cuboid-cache budget in MB (the 'serve' experiment)")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		jsonPath   = flag.String("json", "", "write machine-readable results to this file ('-' = stdout)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
@@ -83,7 +81,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	base := exp.Config{Tuples: *tuples, Seed: *seed, Cores: *cores, CacheMB: *cachemb}
+	base := exp.Config{Tuples: *tuples, Seed: *seed, Cores: *cores}
 	if *full {
 		base.Tuples = 0 // defaults to the paper's sizes per experiment
 	}

@@ -3,7 +3,11 @@
 // parameter, runs the algorithms, and returns the series the paper plots.
 // cmd/cubebench renders them; bench_test.go runs them under testing.B; the
 // experiment tests assert the paper's qualitative findings (who wins,
-// where the crossovers are).
+// where the crossovers are). Beside the paper's figures there is one
+// more entry, "cores", the host wall-clock speedup of intra-worker
+// pools. The serving stack built beyond the paper (cache, commits, WAL,
+// cold tier) is not measured here: the end-to-end benchmark
+// (BENCHMARK.json) times it through the socket.
 package exp
 
 import (
@@ -36,9 +40,6 @@ type Config struct {
 	// task bodies). Virtual-time results are identical for every value;
 	// only real wall clock changes — the "cores" experiment measures it.
 	Cores int
-	// CacheMB is the serving layer's cuboid-cache byte budget in
-	// megabytes (default 64) — only the "serve" experiment reads it.
-	CacheMB int
 }
 
 func (c Config) withDefaults() Config {
@@ -56,9 +57,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 2001
-	}
-	if c.CacheMB == 0 {
-		c.CacheMB = 64
 	}
 	return c
 }

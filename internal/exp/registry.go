@@ -50,42 +50,6 @@ func Experiments() []Experiment {
 			scale: func(c Config) Config { c.Tuples *= 10; return c }},
 		{ID: "fig5.4", Title: "POL buffer-size sweep (Fig 5.4)", Run: Fig5_4,
 			scale: func(c Config) Config { c.Tuples *= 10; return c }},
-		{ID: "serve", Title: "serving layer: ancestor rewriting + cuboid cache", Run: Serve,
-			// Wall-clock measurement; keep the leaf large enough that the
-			// rescan-vs-hit gap is observable.
-			scale: func(c Config) Config {
-				if c.Tuples < 8000 {
-					c.Tuples = 8000
-				}
-				return c
-			}},
-		{ID: "adaptive", Title: "adaptive vs LRU cuboid admission under Zipf", Run: Adaptive,
-			// Wall-clock measurement; the hit-vs-rescan gap needs a leaf
-			// big enough to make misses visibly expensive.
-			scale: func(c Config) Config {
-				if c.Tuples < 8000 {
-					c.Tuples = 8000
-				}
-				return c
-			}},
-		{ID: "ingest", Title: "incremental maintenance: commit vs full recompute", Run: Ingest,
-			// Wall-clock measurement; the delta fractions need a base large
-			// enough that 0.1% is at least a handful of rows.
-			scale: func(c Config) Config {
-				if c.Tuples < 8000 {
-					c.Tuples = 8000
-				}
-				return c
-			}},
-		{ID: "segment", Title: "columnar cold tier: segment scans vs warm cache", Run: Segment,
-			// Wall-clock measurement; the cold-scan-vs-hit gap needs a
-			// table big enough to span multiple blocks.
-			scale: func(c Config) Config {
-				if c.Tuples < 8000 {
-					c.Tuples = 8000
-				}
-				return c
-			}},
 		{ID: "cores", Title: "intra-worker cores wall-clock speedup", Run: Cores,
 			// Real-time measurement wants enough rows for the kernels to
 			// fork; don't shrink below the bench scale.

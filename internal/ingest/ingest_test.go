@@ -2,6 +2,8 @@ package ingest
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"icebergcube/internal/agg"
@@ -245,6 +247,79 @@ func TestCommitFoldsResidentCuboids(t *testing.T) {
 	cub, _, _ = c.Current().Srv.Query(q)
 	if cub.States[0].Count != 2 || cub.States[0].Sum != 5 || cub.States[0].Max != 3 {
 		t.Fatalf("re-derived cuboid wrong: %+v", cub.States[0])
+	}
+}
+
+// TestAppendOnlyCommitKeepsEveryWarmCuboid: appends only merge, so a
+// commit never dirties a resident cuboid. With every cuboid of a random
+// cube warm, an append-only commit folds them all forward, each one then
+// hits, and each folded answer equals the same cuboid derived from
+// scratch over the base plus appended rows.
+func TestAppendOnlyCommitKeepsEveryWarmCuboid(t *testing.T) {
+	const width = 4
+	cards := []int{5, 4, 6, 3}
+	rng := rand.New(rand.NewSource(11))
+	rows := func(n int) ([]uint32, []float64) {
+		keys := make([]uint32, 0, n*width)
+		meas := make([]float64, n)
+		for i := range meas {
+			for d := 0; d < width; d++ {
+				keys = append(keys, uint32(rng.Intn(cards[d])))
+			}
+			meas[i] = float64(rng.Intn(100))
+		}
+		return keys, meas
+	}
+	baseKeys, baseMeas := rows(400)
+	c := buildCube(width, baseKeys, baseMeas, cards, 0)
+	full := lattice.Mask(1<<width - 1)
+	var warm []lattice.Mask
+	for _, q := range lattice.All(width) {
+		if q == full {
+			continue // the leaf is pinned, never a cache entry
+		}
+		if _, _, err := c.Current().Srv.Query(q); err != nil {
+			t.Fatal(err)
+		}
+		warm = append(warm, q)
+	}
+
+	appKeys, appMeas := rows(40)
+	if err := c.Append(appKeys, appMeas); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := c.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Dirty != 0 || snap.Folded < len(warm) {
+		t.Fatalf("append-only commit lost residency (%d cuboids warm): %+v", len(warm), snap)
+	}
+	allKeys := append(append([]uint32(nil), baseKeys...), appKeys...)
+	allMeas := append(append([]float64(nil), baseMeas...), appMeas...)
+	checkLeaf(t, c.Current(), width, allKeys, allMeas)
+	scratch := buildCube(width, allKeys, allMeas, cards, 0)
+	for _, q := range warm {
+		got, st, err := c.Current().Srv.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.CacheHit {
+			t.Fatalf("warm cuboid %b missed after an append-only commit: %+v", q, st)
+		}
+		want, _, err := scratch.Current().Srv.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Keys, want.Keys) {
+			t.Fatalf("cuboid %b: folded keys differ from scratch", q)
+		}
+		for i, s := range got.States {
+			w := want.States[i]
+			if s.Count != w.Count || math.Abs(s.Sum-w.Sum) > 1e-9 || s.Min != w.Min || s.Max != w.Max {
+				t.Fatalf("cuboid %b cell %v: %+v want %+v", q, got.Row(i), s, w)
+			}
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ tmp=${tmp%/}
 # of /proc/PID/stat that follow the parenthesised command name.
 stat() {
 	local line
-	read -r line <"/proc/$1/stat" 2>/dev/null || return 1
+	read -r line 2>/dev/null <"/proc/$1/stat" || return 1
 	set -- ${line##*) }
 	echo "$2 $3"
 }

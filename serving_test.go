@@ -5,8 +5,8 @@ package icebergcube
 // computed by the parallel algorithms, and (c) an independent per-row
 // naive aggregation over the raw data set — across fuzzed query
 // workloads, minsup values, eviction-pressure budgets, and concurrent
-// queriers (the concurrent test is part of `make serve-smoke` and runs
-// under -race in CI).
+// queriers (the concurrent test runs under -race in `make race`, CI's
+// race job).
 
 import (
 	"fmt"
