@@ -227,7 +227,7 @@ func benchMutationBatch(b *testing.B, ds *Dataset, dims []string, n int, seed in
 // BenchmarkCommit measures the incremental write path: Empty is the
 // version-publish floor (no delta, residents carried over), Churn64
 // appends and then deletes a 64-row batch across two commits — the leaf
-// and row store return to steady state every iteration, so allocs/op is
+// and measure column return to steady state every iteration, so allocs/op is
 // deterministic and benchguard-gated.
 func BenchmarkCommit(b *testing.B) {
 	ds := SyntheticWeather(benchTuples, 2001)

@@ -91,8 +91,8 @@ func TestAppendAllocations(t *testing.T) {
 	}
 }
 
-// TestDeleteValidationAllocations: Delete's availability probe walks the
-// row store's hash buckets; probing must not allocate per row.
+// TestDeleteValidationAllocations: Delete's availability probe searches
+// the head leaf and scans one cell's measures; probing must not allocate.
 func TestDeleteValidationAllocations(t *testing.T) {
 	const width = 3
 	baseKeys := []uint32{1, 2, 3, 4, 5, 6}
@@ -101,11 +101,11 @@ func TestDeleteValidationAllocations(t *testing.T) {
 
 	probe := []uint32{1, 2, 3}
 	allocs := testing.AllocsPerRun(100, func() {
-		if n := c.store.countMatching(probe, 10); n != 1 {
-			t.Fatalf("countMatching = %d, want 1", n)
+		if n := c.countLive(probe, 10); n != 1 {
+			t.Fatalf("countLive = %d, want 1", n)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("countMatching allocates %.1f per probe, want 0", allocs)
+		t.Fatalf("countLive allocates %.1f per probe, want 0", allocs)
 	}
 }

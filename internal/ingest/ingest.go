@@ -12,10 +12,13 @@
 // (time travel) until the cube is released.
 //
 // Aggregate maintenance uses agg.State.Retract: COUNT and SUM subtract
-// exactly; a deletion that touches a cell's MIN/MAX is re-derived from
-// the raw row store at the leaf, and marks a resident cuboid dirty — the
+// exactly; a deletion that touches a cell's MIN/MAX is re-derived at the
+// leaf from the cell's measures, and marks a resident cuboid dirty — the
 // dirty cuboid is simply not carried into the new version's cache and is
-// lazily re-derived from the new leaf on its next query.
+// lazily re-derived from the new leaf on its next query. The head leaf is
+// the write path's row index: its sorted cells locate a key, and a
+// measure column aligned to it holds each cell's raw measures, the only
+// per-row state the cube keeps.
 //
 // Durability is optional and layered under the same API: AttachWAL hooks
 // a write-ahead log (internal/wal) so every accepted Append/Delete batch
@@ -90,7 +93,7 @@ type Snapshot struct {
 	Folded int
 	Dirty  int
 	// Retracted and Recomputed count leaf cells maintained by state
-	// arithmetic vs re-derived from the row store.
+	// arithmetic vs re-derived from the cell's measures.
 	Retracted  int
 	Recomputed int
 	// CommitSeconds is the host wall-clock cost of the commit (0 for the
@@ -105,11 +108,11 @@ type View struct {
 	Srv *serve.Server
 }
 
-// hashKey folds a code tuple to a 64-bit FNV-1a bucket id. The row and
-// pending indexes key their maps by this hash and verify the actual codes
-// on every probe, so collisions cost a comparison, never correctness —
-// and no per-row string key is ever allocated (the old index built a
-// 4·width-byte string per probe; see the allocation regression test).
+// hashKey folds a code tuple to a 64-bit FNV-1a bucket id. The pending
+// index keys its map by this hash and verifies the actual codes on every
+// probe, so collisions cost a comparison, never correctness — and no
+// per-row string key is ever allocated (see the allocation regression
+// test).
 func hashKey(key []uint32) uint64 {
 	h := uint64(14695981039346656037)
 	for _, v := range key {
@@ -138,96 +141,34 @@ func keyEqual(a, b []uint32) bool {
 	return true
 }
 
-// appendKeyBytes renders key as little-endian bytes onto dst — the map
-// key under which a commit nets its batch per cell.
-func appendKeyBytes(dst []byte, key []uint32) []byte {
-	for _, v := range key {
-		dst = append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+// measCol is the head version's raw measures in CSR form, aligned to
+// the head leaf: cell i's measures are meas[off[i]:off[i+1]], in
+// ascending row order — base rows in row order, appends at the end, a
+// delete removing the first equal measure. Re-deriving a cell folds its
+// slice in that order, so recovery reproduces every fold bit for bit.
+type measCol struct {
+	off  []int32 // cells+1 offsets into meas
+	meas []float64
+}
+
+// newMeasCol groups the rows leaf aggregates (keys row-major, column c's
+// codes below cards[c]) by cell: one radix group-by, whose stable order
+// keeps each cell's measures in row order, cut by the leaf's counts.
+func newMeasCol(leaf *serve.Cuboid, keys []uint32, meas []float64, cards []int) measCol {
+	perm := serve.SortRows(keys, leaf.Width, len(meas), cards, nil)
+	col := measCol{off: make([]int32, 1, leaf.Rows()+1), meas: make([]float64, len(meas))}
+	for i, r := range perm {
+		col.meas[i] = meas[r]
 	}
-	return dst
-}
-
-// rowStore is the raw tuple multiset backing exact re-derivation of
-// non-retractable cells and validation of deletes. Rows are append-only;
-// deletion tombstones them. byKey buckets the live rows of each leaf cell
-// under hashKey, so re-deriving a cell costs O(cell) rather than
-// O(store) and probing allocates nothing.
-type rowStore struct {
-	width     int
-	keys      []uint32 // row-major codes, append-only
-	meas      []float64
-	live      []bool
-	liveCount int
-	byKey     map[uint64][]int32
-	idScratch []int32
-}
-
-func (rs *rowStore) row(i int32) []uint32 {
-	return rs.keys[int(i)*rs.width : (int(i)+1)*rs.width]
-}
-
-// add appends one live row.
-func (rs *rowStore) add(key []uint32, meas float64) {
-	id := int32(len(rs.meas))
-	rs.keys = append(rs.keys, key...)
-	rs.meas = append(rs.meas, meas)
-	rs.live = append(rs.live, true)
-	rs.liveCount++
-	h := hashKey(key)
-	rs.byKey[h] = append(rs.byKey[h], id)
-}
-
-// countMatching returns how many live rows carry exactly (key, meas).
-func (rs *rowStore) countMatching(key []uint32, meas float64) int {
-	n := 0
-	for _, id := range rs.byKey[hashKey(key)] {
-		if rs.meas[id] == meas && keyEqual(key, rs.row(id)) {
-			n++
-		}
+	for _, st := range leaf.States {
+		col.off = append(col.off, col.off[len(col.off)-1]+int32(st.Count))
 	}
-	return n
+	return col
 }
 
-// remove tombstones one live row matching (key, meas), which must exist.
-func (rs *rowStore) remove(key []uint32, meas float64) {
-	h := hashKey(key)
-	ids := rs.byKey[h]
-	for i, id := range ids {
-		if rs.meas[id] == meas && keyEqual(key, rs.row(id)) {
-			rs.live[id] = false
-			rs.liveCount--
-			ids[i] = ids[len(ids)-1]
-			ids = ids[:len(ids)-1]
-			if len(ids) == 0 {
-				delete(rs.byKey, h)
-			} else {
-				rs.byKey[h] = ids
-			}
-			return
-		}
-	}
-	panic("ingest: remove of a row the store does not hold")
-}
+func (mc *measCol) cells() int { return len(mc.off) - 1 }
 
-// state re-derives the exact aggregate of one leaf cell from its live
-// rows (the identity state when the cell is gone). Matching rows fold in
-// ascending row order so replayed recoveries reproduce the original
-// floating-point fold exactly.
-func (rs *rowStore) state(key []uint32) agg.State {
-	ids := rs.idScratch[:0]
-	for _, id := range rs.byKey[hashKey(key)] {
-		if keyEqual(key, rs.row(id)) {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	st := agg.NewState()
-	for _, id := range ids {
-		st.Add(rs.meas[id])
-	}
-	rs.idScratch = ids[:0]
-	return st
-}
+func (mc *measCol) cell(i int) []float64 { return mc.meas[mc.off[i]:mc.off[i+1]] }
 
 // netMap counts per-(key, measure) integers — pending appends minus
 // deletes, and Delete's intra-batch claims — without allocating string
@@ -287,12 +228,11 @@ func (nm *netMap) reset() {
 	clear(nm.buckets)
 }
 
-// op is one buffered mutation; its key lives in the cube's pendKeys
-// arena at [off, off+width).
+// op is one buffered mutation; the key of pending[i] is row i of the
+// cube's pendKeys arena.
 type op struct {
 	del  bool
 	meas float64
-	off  int32
 }
 
 // Cube is the incremental-maintenance engine over one materialized leaf.
@@ -303,14 +243,14 @@ type Cube struct {
 	width  int
 	budget int64 // 0 = serve.DefaultBudgetBytes
 
-	mu       sync.Mutex // guards store, pending state, cards, snaps, log
-	store    rowStore
+	mu       sync.Mutex // guards col, pending state, cards, snaps, log
+	col      measCol    // the current view's measures, swapped with it at publish
 	cards    []int
 	pendKeys []uint32
 	pending  []op
 	// pendingNet tracks, per (key, measure), pending appends minus
 	// pending deletes, so Delete can validate availability against
-	// store ∪ pending without replaying the batch.
+	// head ∪ pending without replaying the batch.
 	pendingNet *netMap
 	taken      *netMap // Delete's intra-batch claim scratch
 
@@ -331,24 +271,20 @@ type Cube struct {
 // exact aggregation of rows (keys row-major with width columns, one
 // measure per row) — the §5.1 precomputation provides both. cards gives
 // each key column's code cardinality; budgetBytes ≤ 0 selects the
-// serving default. The base state is published as version 1.
+// serving default. The base state is published as version 1. Of the
+// rows, the cube keeps only the measures, grouped by leaf cell.
 func New(leaf *serve.Cuboid, keys []uint32, meas []float64, cards []int, budgetBytes int64) *Cube {
 	width := leaf.Width
 	c := &Cube{
-		width:  width,
-		budget: budgetBytes,
-		store: rowStore{
-			width: width,
-			byKey: make(map[uint64][]int32, leaf.Rows()),
-		},
+		width:      width,
+		budget:     budgetBytes,
+		col:        newMeasCol(leaf, keys, meas, cards),
 		cards:      append([]int(nil), cards...),
 		pendingNet: newNetMap(width),
 		taken:      newNetMap(width),
 	}
-	key := make([]uint32, width)
-	for i := range meas {
-		copy(key, keys[i*width:(i+1)*width])
-		c.store.add(key, meas[i])
+	if n := c.col.off[len(c.col.off)-1]; int(n) != len(meas) {
+		panic(fmt.Sprintf("ingest: the leaf counts %d rows, not %d", n, len(meas)))
 	}
 	v := &View{
 		Snapshot: Snapshot{
@@ -461,9 +397,9 @@ func (c *Cube) writable() error {
 }
 
 // AttachWAL makes the cube durable: the full base state (shape,
-// cardinalities, raw rows) is written and synced as the log's first
-// record, and from then on every accepted batch and commit is logged.
-// The cube must be fresh — version 1 with no pending batch — so the log
+// cardinalities, raw rows in leaf order) is written and synced as the
+// log's first record, and from then on every accepted batch and commit
+// is logged. The cube must be fresh — version 1 with no pending batch — so the log
 // is a complete history; Recover rebuilds cubes from such logs.
 func (c *Cube) AttachWAL(lg *wal.Log) error {
 	c.mu.Lock()
@@ -474,12 +410,13 @@ func (c *Cube) AttachWAL(lg *wal.Log) error {
 	if len(c.pending) > 0 || c.current.Load().Version != 1 {
 		return errors.New("ingest: AttachWAL needs a fresh cube (version 1, no pending batch)")
 	}
+	keys, meas := c.liveRows()
 	base := &wal.Record{
 		Type:  wal.TypeBase,
 		Width: c.width,
 		Cards: c.cards,
-		Keys:  c.store.keys,
-		Meas:  c.store.meas,
+		Keys:  keys,
+		Meas:  meas,
 	}
 	if err := lg.AppendSync(base); err != nil {
 		return fmt.Errorf("ingest: writing base record: %w", err)
@@ -547,10 +484,9 @@ func (c *Cube) buffer(del bool, keys []uint32, meas []float64) {
 	if del {
 		sign = -1
 	}
+	c.pendKeys = append(c.pendKeys, keys...)
 	for i := range meas {
-		off := int32(len(c.pendKeys))
-		c.pendKeys = append(c.pendKeys, keys[i*c.width:(i+1)*c.width]...)
-		c.pending = append(c.pending, op{del: del, meas: meas[i], off: off})
+		c.pending = append(c.pending, op{del: del, meas: meas[i]})
 		c.pendingNet.bump(keys[i*c.width:(i+1)*c.width], meas[i], sign)
 	}
 }
@@ -595,7 +531,7 @@ func (c *Cube) Delete(keys []uint32, meas []float64) error {
 	c.taken.reset()
 	for i := range meas {
 		key := keys[i*c.width : (i+1)*c.width]
-		avail := int32(c.store.countMatching(key, meas[i])) + c.pendingNet.get(key, meas[i]) - c.taken.get(key, meas[i])
+		avail := int32(c.countLive(key, meas[i])) + c.pendingNet.get(key, meas[i]) - c.taken.get(key, meas[i])
 		if avail <= 0 {
 			return fmt.Errorf("%w: key %v measure %g", ErrNotLive, key, meas[i])
 		}
@@ -611,24 +547,46 @@ func (c *Cube) Delete(keys []uint32, meas []float64) error {
 	return nil
 }
 
+// countLive returns how many rows of the head version carry exactly
+// (key, meas): a binary search of the head leaf, then a scan of that
+// cell's measures. Called with c.mu held.
+func (c *Cube) countLive(key []uint32, meas float64) int {
+	leaf := c.current.Load().Srv.Leaf()
+	i := sort.Search(leaf.Rows(), func(i int) bool { return slices.Compare(leaf.Row(i), key) >= 0 })
+	if i == leaf.Rows() || !slices.Equal(leaf.Row(i), key) {
+		return 0
+	}
+	n := 0
+	for _, m := range c.col.cell(i) {
+		if m == meas {
+			n++
+		}
+	}
+	return n
+}
+
 // LiveRows returns a copy of the committed live tuples — row-major key
-// codes (width columns per row) and parallel measures, in append order.
-// Buffered uncommitted mutations are excluded. The segment-flush path
-// streams these into the columnar cold tier.
+// codes (width columns per row) and parallel measures — in leaf order:
+// ascending key tuple, and within one key in row order (base rows first,
+// then appends in commit order). Buffered uncommitted mutations are
+// excluded. The segment-flush path streams these into the columnar cold
+// tier.
 func (c *Cube) LiveRows() (keys []uint32, meas []float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := c.store.liveCount
-	keys = make([]uint32, 0, n*c.width)
-	meas = make([]float64, 0, n)
-	for id := range c.store.meas {
-		if !c.store.live[id] {
-			continue
+	return c.liveRows()
+}
+
+// liveRows is LiveRows' body. Called with c.mu held.
+func (c *Cube) liveRows() (keys []uint32, meas []float64) {
+	leaf := c.current.Load().Srv.Leaf()
+	keys = make([]uint32, 0, len(c.col.meas)*c.width)
+	for i := 0; i < c.col.cells(); i++ {
+		for range c.col.cell(i) {
+			keys = append(keys, leaf.Row(i)...)
 		}
-		keys = append(keys, c.store.row(int32(id))...)
-		meas = append(meas, c.store.meas[id])
 	}
-	return keys, meas
+	return keys, append([]float64(nil), c.col.meas...)
 }
 
 // Pending returns the buffered, uncommitted mutation count.
@@ -637,6 +595,9 @@ func (c *Cube) Pending() int {
 	defer c.mu.Unlock()
 	return len(c.pending)
 }
+
+// pendKey returns the key of pending op i.
+func (c *Cube) pendKey(i int) []uint32 { return c.pendKeys[i*c.width : (i+1)*c.width] }
 
 // kill consults the test crash hook. Called with c.mu held.
 func (c *Cube) kill(stage string) bool {
@@ -684,71 +645,50 @@ func (c *Cube) commitLocked(start time.Time, logIt bool) (Snapshot, error) {
 		return Snapshot{}, errKilled
 	}
 
-	// Net the batch into per-cell added/deleted aggregates, applying it
-	// to the row store as we go (Delete validated availability, so the
-	// store removes cannot fail).
-	type cellDelta struct {
-		key      []uint32 // aliases pendKeys, which is not written again before we return
-		add, del agg.State
-	}
-	touched := make(map[string]*cellDelta, len(c.pending))
-	order := make([]*cellDelta, 0, len(c.pending))
-	var kbuf []byte
-	appended, deleted := 0, 0
+	// Every code is below the grown cardinalities, because a deleted row
+	// is live or appended in this batch.
 	cards := append([]int(nil), c.cards...)
-	for _, o := range c.pending {
-		key := c.pendKeys[o.off : int(o.off)+c.width]
-		kbuf = appendKeyBytes(kbuf[:0], key)
-		cd, ok := touched[string(kbuf)]
-		if !ok {
-			cd = &cellDelta{key: key, add: agg.NewState(), del: agg.NewState()}
-			touched[string(kbuf)] = cd // one allocation per distinct cell
-			order = append(order, cd)
-		}
+	appended := 0
+	for i, o := range c.pending {
 		if o.del {
-			c.store.remove(key, o.meas)
-			cd.del.Add(o.meas)
-			deleted++
-		} else {
-			c.store.add(key, o.meas)
-			cd.add.Add(o.meas)
-			appended++
-			for d, code := range key {
-				if int(code) >= cards[d] {
-					cards[d] = int(code) + 1
-				}
+			continue
+		}
+		appended++
+		for d, code := range c.pendKey(i) {
+			if int(code) >= cards[d] {
+				cards[d] = int(code) + 1
 			}
 		}
 	}
-	c.pending = c.pending[:0]
-	c.pendKeys = c.pendKeys[:0]
-	c.pendingNet.reset()
-	c.cards = cards
-
-	// Leaf-level delta in ascending tuple order.
-	slices.SortFunc(order, func(a, b *cellDelta) int { return slices.Compare(a.key, b.key) })
-	delta := &serve.Delta{Width: c.width}
-	for _, cd := range order {
-		delta.Keys = append(delta.Keys, cd.key...)
-		delta.Add = append(delta.Add, cd.add)
-		delta.Del = append(delta.Del, cd.del)
-	}
-
+	delta, col, spans := c.applyBatch(head.Srv.Leaf(), cards)
 	snap := Snapshot{
 		Version:  head.Version + 1,
-		Rows:     int64(c.store.liveCount),
+		Rows:     int64(len(col.meas)),
 		Appended: appended,
-		Deleted:  deleted,
+		Deleted:  len(c.pending) - appended,
 	}
 
 	newLeaf := head.Srv.Leaf()
 	var folded []*serve.Cuboid
 	if delta.Rows() > 0 {
+		// A non-retractable cell folds its new measure slice; FoldDelta
+		// asks for cells in ascending key order, so j only moves forward.
+		j := 0
+		recompute := func(key []uint32) agg.State {
+			for !slices.Equal(delta.Row(j), key) {
+				j++
+			}
+			st := agg.NewState()
+			for _, m := range col.meas[spans[2*j]:spans[2*j+1]] {
+				st.Add(m)
+			}
+			return st
+		}
 		var stats serve.FoldStats
 		var ok bool
-		newLeaf, stats, ok = serve.FoldDelta(head.Srv.Leaf(), delta, c.store.state)
-		if !ok {
-			// Unreachable: the row store always re-derives exactly.
+		newLeaf, stats, ok = serve.FoldDelta(head.Srv.Leaf(), delta, recompute)
+		if !ok || newLeaf.Rows() != col.cells() {
+			// Unreachable: the measure column always re-derives exactly.
 			return Snapshot{}, fmt.Errorf("ingest: leaf fold failed")
 		}
 		snap.Retracted, snap.Recomputed = stats.Retracted, stats.Recomputed
@@ -764,7 +704,7 @@ func (c *Cube) commitLocked(start time.Time, logIt bool) (Snapshot, error) {
 			if c.kill("cuboid-fold") {
 				return Snapshot{}, errKilled
 			}
-			pd := delta.Project(cub.Mask.Dims())
+			pd := delta.Project(cub.Mask.Dims(), cards)
 			out, _, ok := serve.FoldDelta(cub, pd, nil)
 			if !ok {
 				snap.Dirty++
@@ -785,6 +725,10 @@ func (c *Cube) commitLocked(start time.Time, logIt bool) (Snapshot, error) {
 	if c.kill("pre-publish") {
 		return Snapshot{}, errKilled
 	}
+	c.col, c.cards = col, cards
+	c.pending = c.pending[:0]
+	c.pendKeys = c.pendKeys[:0]
+	c.pendingNet.reset()
 	srv := serve.NewServer(newLeaf, c.cards, c.budget)
 	srv.Warm(folded)
 	// Carry the serving policy and workload model forward and retire the
@@ -797,4 +741,65 @@ func (c *Cube) commitLocked(start time.Time, logIt bool) (Snapshot, error) {
 	c.snaps = append(c.snaps, v)
 	c.current.Store(v)
 	return snap, nil
+}
+
+// applyBatch groups the pending batch by key with the radix kernel (the
+// sort is stable, so each key's ops keep their batch order) and walks the
+// groups against leaf's cells in one merge. It returns the leaf-level
+// delta and the measure column of the leaf that folding the delta into
+// leaf yields: an untouched cell copies its measures; a touched one then
+// applies its ops in batch order, an append going to the end and a
+// delete removing the first equal measure; a cell left empty is dropped,
+// as FoldDelta drops it. Delta row j's new measures are
+// col.meas[spans[2j]:spans[2j+1]]. Called with c.mu held.
+func (c *Cube) applyBatch(leaf *serve.Cuboid, cards []int) (delta *serve.Delta, col measCol, spans []int) {
+	if len(c.pending) == 0 {
+		return &serve.Delta{Width: c.width}, c.col, nil // the new version shares the leaf, so the column too
+	}
+	perm := serve.SortRows(c.pendKeys, c.width, len(c.pending), cards, nil)
+	n := leaf.Rows()
+	delta = &serve.Delta{Width: c.width}
+	col = measCol{off: make([]int32, 1, n+len(perm)+1), meas: make([]float64, 0, len(c.col.meas)+len(perm))}
+	i := 0
+	copyTo := func(end int) { // head cells [i, end) are untouched: copy them in bulk
+		shift := int32(len(col.meas)) - c.col.off[i]
+		col.meas = append(col.meas, c.col.meas[c.col.off[i]:c.col.off[end]]...)
+		for _, o := range c.col.off[i+1 : end+1] {
+			col.off = append(col.off, o+shift)
+		}
+		i = end
+	}
+	for r := 0; r < len(perm); {
+		key := c.pendKey(int(perm[r]))
+		copyTo(i + sort.Search(n-i, func(k int) bool { return slices.Compare(leaf.Row(i+k), key) >= 0 }))
+		start := len(col.meas)
+		if i < n && slices.Equal(leaf.Row(i), key) {
+			col.meas = append(col.meas, c.col.cell(i)...)
+			i++
+		}
+		add, del := agg.NewState(), agg.NewState()
+		for ; r < len(perm) && slices.Equal(c.pendKey(int(perm[r])), key); r++ {
+			o := c.pending[perm[r]]
+			if !o.del {
+				add.Add(o.meas)
+				col.meas = append(col.meas, o.meas)
+				continue
+			}
+			del.Add(o.meas)
+			k := slices.Index(col.meas[start:], o.meas)
+			if k < 0 {
+				panic("ingest: delete of a measure the cell does not hold") // Delete validated it
+			}
+			col.meas = slices.Delete(col.meas, start+k, start+k+1)
+		}
+		delta.Keys = append(delta.Keys, key...)
+		delta.Add = append(delta.Add, add)
+		delta.Del = append(delta.Del, del)
+		spans = append(spans, start, len(col.meas))
+		if len(col.meas) > start {
+			col.off = append(col.off, int32(len(col.meas)))
+		}
+	}
+	copyTo(n)
+	return delta, col, spans
 }

@@ -1,8 +1,10 @@
 package ingest
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -12,11 +14,8 @@ import (
 	"icebergcube/internal/serve"
 )
 
-// keyString is the string form of appendKeyBytes, a comparable map key.
-func keyString(key []uint32) string {
-	buf := make([]byte, 0, 4*len(key))
-	return string(appendKeyBytes(buf, key))
-}
+// keyString renders a code tuple as a comparable map key.
+func keyString(key []uint32) string { return fmt.Sprint(key) }
 
 // buildCube materializes a cube directly from rows (the test-local stand-
 // in for the §5.1 precomputation): leaf = exact aggregation of the rows.
@@ -349,5 +348,127 @@ func TestAppendShapeErrors(t *testing.T) {
 	}
 	if err := c.Delete([]uint32{0}, []float64{1}); err == nil {
 		t.Fatal("ragged delete accepted")
+	}
+}
+
+// TestCommitEdgeCases: one batch per case against a width-2 base, checked
+// three ways — the leaf against a reference aggregation, the live rows
+// against the measure column's order contract (leaf order; within a cell
+// base rows in row order, appends at the end, a delete removing the
+// first equal measure), and the count of MIN/MAX re-derivations.
+func TestCommitEdgeCases(t *testing.T) {
+	type mut struct {
+		del  bool
+		key  []uint32
+		meas float64
+	}
+	// Leaf order of the base: (0,0) [4 2 5], (1,1) [9 3], (2,2) [2 6 2],
+	// (3,3) [7].
+	baseKeys := []uint32{0, 0, 1, 1, 0, 0, 2, 2, 0, 0, 2, 2, 3, 3, 1, 1, 2, 2}
+	baseMeas := []float64{4, 9, 2, 2, 5, 6, 7, 3, 2}
+	cases := []struct {
+		name       string
+		batch      []mut
+		keys       []uint32 // live rows after the commit, in leaf order
+		meas       []float64
+		recomputed int
+	}{{
+		name: "cell emptied and refilled",
+		batch: []mut{
+			{true, []uint32{3, 3}, 7},
+			{false, []uint32{3, 3}, 8},
+			{false, []uint32{3, 3}, 1},
+		},
+		keys: []uint32{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3},
+		meas: []float64{4, 2, 5, 9, 3, 2, 6, 2, 8, 1},
+	}, {
+		name: "new key appended and deleted",
+		batch: []mut{
+			{false, []uint32{1, 2}, 6},
+			{false, []uint32{1, 2}, 6},
+			{true, []uint32{1, 2}, 6},
+			{true, []uint32{1, 2}, 6},
+		},
+		keys: []uint32{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 3, 3},
+		meas: []float64{4, 2, 5, 9, 3, 2, 6, 2, 7},
+	}, {
+		name:       "MIN carrier among equal duplicates",
+		batch:      []mut{{true, []uint32{2, 2}, 2}},
+		keys:       []uint32{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3},
+		meas:       []float64{4, 2, 5, 9, 3, 6, 2, 7},
+		recomputed: 1,
+	}, {
+		name: "first and last leaf cells",
+		batch: []mut{
+			{true, []uint32{0, 0}, 2},
+			{true, []uint32{3, 3}, 7},
+			{false, []uint32{4, 4}, 1},
+		},
+		keys:       []uint32{0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 4, 4},
+		meas:       []float64{4, 5, 9, 3, 2, 6, 2, 1},
+		recomputed: 1,
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := buildCube(2, baseKeys, baseMeas, []int{4, 4}, 0)
+			for _, m := range tc.batch {
+				op := c.Append
+				if m.del {
+					op = c.Delete
+				}
+				if err := op(m.key, []float64{m.meas}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap, err := c.Commit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkLeaf(t, c.Current(), 2, tc.keys, tc.meas)
+			keys, meas := c.LiveRows()
+			if !slices.Equal(keys, tc.keys) || !slices.Equal(meas, tc.meas) {
+				t.Fatalf("live rows %v %v, want %v %v", keys, meas, tc.keys, tc.meas)
+			}
+			if snap.Rows != int64(len(tc.meas)) || snap.Recomputed != tc.recomputed {
+				t.Fatalf("snapshot %+v: want %d rows, %d recomputed", snap, len(tc.meas), tc.recomputed)
+			}
+		})
+	}
+}
+
+// TestNewRetainsOneMeasureColumn: besides the leaf it is handed, a cube
+// keeps one measure per row and one offset per leaf cell — no copy of
+// the row keys and no hash index over them.
+func TestNewRetainsOneMeasureColumn(t *testing.T) {
+	const (
+		width = 4
+		n     = 50000
+	)
+	cards := []int{16, 16, 16, 16}
+	rng := rand.New(rand.NewSource(3))
+	keys := make([]uint32, 0, n*width)
+	meas := make([]float64, n)
+	for i := range meas {
+		for d := 0; d < width; d++ {
+			keys = append(keys, uint32(rng.Intn(cards[d])))
+		}
+		meas[i] = float64(rng.Intn(100))
+	}
+	leaf := serve.LeafFromRows(width, keys, meas, cards)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := New(leaf, keys, meas, cards, 0)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	runtime.KeepAlive(leaf)
+	runtime.KeepAlive(keys)
+	runtime.KeepAlive(meas)
+
+	perRow := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	if perRow > 24 {
+		t.Fatalf("New retains %.1f B/row beyond the leaf, want ≤ 24", perRow)
 	}
 }

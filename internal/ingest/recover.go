@@ -23,7 +23,7 @@ var ErrRecovery = errors.New("ingest: log does not replay to a valid cube")
 // see wal.Recover); the surviving records then replay through the same
 // commit path the original writer ran:
 //
-//   - the base record rebuilds the row store and materializes the leaf,
+//   - the base record materializes the leaf and its measure column,
 //     publishing version 1;
 //   - each commit marker folds the batches logged before it, rebuilding
 //     that version exactly — every committed version is restored, so

@@ -102,20 +102,9 @@ func aggregateFrom(src *Cuboid, mask lattice.Mask, cols []int, cards []int, sc *
 	outStates := make([]agg.State, 0, 4)
 	for _, r := range perm {
 		row := src.Keys[int(r)*src.Width : (int(r)+1)*src.Width]
-		last := len(outStates) - 1
-		if last >= 0 {
-			prev := outKeys[last*width:]
-			same := true
-			for i, col := range cols {
-				if prev[i] != row[col] {
-					same = false
-					break
-				}
-			}
-			if same {
-				outStates[last].Merge(src.States[r])
-				continue
-			}
+		if last := len(outStates) - 1; last >= 0 && sameProjected(outKeys[last*width:], row, cols) {
+			outStates[last].Merge(src.States[r])
+			continue
 		}
 		for _, col := range cols {
 			outKeys = append(outKeys, row[col])
@@ -124,6 +113,16 @@ func aggregateFrom(src *Cuboid, mask lattice.Mask, cols []int, cards []int, sc *
 	}
 	sc.PutInt32s(perm)
 	return &Cuboid{Mask: mask, Width: width, Keys: outKeys, States: outStates}
+}
+
+// sameProjected reports whether prev equals row projected onto cols.
+func sameProjected(prev, row []uint32, cols []int) bool {
+	for i, col := range cols {
+		if prev[i] != row[col] {
+			return false
+		}
+	}
+	return true
 }
 
 // sortRows orders the n rows of keys (stride codes per row) by the tuple
@@ -175,14 +174,25 @@ func LeafFromRows(width int, keys []uint32, meas []float64, cards []int) *Cuboid
 	return leafFromRows(width, keys, meas, cards, nil)
 }
 
-// leafFromRows is LeafFromRows over the sort scratch sc (nil allocates).
-func leafFromRows(width int, keys []uint32, meas []float64, cards []int, sc *relation.Scratch) *Cuboid {
+// SortRows returns the radix group-by order of n full-width rows (keys
+// holds n×width codes row-major, column c's codes below cards[c]): rows
+// in ascending tuple order, and rows with equal tuples adjacent in input
+// order, because the sort is stable. It is the one row sort behind the
+// leaf, the write path's measure column and its commit grouping. The
+// permutation comes from sc (nil allocates); hand it back with PutInt32s.
+func SortRows(keys []uint32, width, n int, cards []int, sc *relation.Scratch) []int32 {
 	cols := sc.Ints(width)[:width]
 	for i := range cols {
 		cols[i] = i
 	}
-	perm := sortRows(keys, width, len(meas), cols, cards, sc)
+	perm := sortRows(keys, width, n, cols, cards, sc)
 	sc.PutInts(cols)
+	return perm
+}
+
+// leafFromRows is LeafFromRows over the sort scratch sc (nil allocates).
+func leafFromRows(width int, keys []uint32, meas []float64, cards []int, sc *relation.Scratch) *Cuboid {
+	perm := SortRows(keys, width, len(meas), cards, sc)
 	row := func(i int) []uint32 { r := int(perm[i]); return keys[r*width : (r+1)*width] }
 	newCell := func(i int) bool { return i == 0 || !slices.Equal(row(i-1), row(i)) }
 

@@ -1,10 +1,9 @@
 package serve
 
 import (
-	"sort"
+	"slices"
 
 	"icebergcube/internal/agg"
-	"icebergcube/internal/results"
 )
 
 // Delta is one commit's net change to a cuboid, in the cuboid's own key
@@ -34,60 +33,34 @@ func (d *Delta) Row(i int) []uint32 {
 }
 
 // Project re-aggregates the delta onto a coarser key: cols gives, for
-// each output column, its column index within this delta's rows. Added
-// and deleted aggregates merge independently per projected key — merging
-// is exact because appended and deleted tuple sets are each disjoint
-// across source keys. The result is sorted in ascending tuple order.
-func (d *Delta) Project(cols []int) *Delta {
+// each output column, its column index within this delta's rows, and
+// cards each of this delta's columns' code cardinality (for radix
+// sizing). Added and deleted aggregates merge independently per
+// projected key, in source-row order — merging is exact because appended
+// and deleted tuple sets are each disjoint across source keys. The result
+// is sorted in ascending tuple order.
+func (d *Delta) Project(cols, cards []int) *Delta {
 	width := len(cols)
-	type cell struct{ add, del agg.State }
-	groups := make(map[string]*cell, d.Rows())
-	order := make([]string, 0, d.Rows())
-	key := make([]uint32, width)
-	for i := 0; i < d.Rows(); i++ {
-		row := d.Row(i)
-		for j, c := range cols {
-			key[j] = row[c]
-		}
-		k := encodeKey(key)
-		g, ok := groups[k]
-		if !ok {
-			g = &cell{add: agg.NewState(), del: agg.NewState()}
-			groups[k] = g
-			order = append(order, k)
-		}
-		g.add.Merge(d.Add[i])
-		g.del.Merge(d.Del[i])
+	qCards := make([]int, width)
+	for j, c := range cols {
+		qCards[j] = cards[c]
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return results.CompareTuples(results.DecodeKey(order[a]), results.DecodeKey(order[b])) < 0
-	})
-	out := &Delta{
-		Width: width,
-		Keys:  make([]uint32, 0, len(order)*width),
-		Add:   make([]agg.State, 0, len(order)),
-		Del:   make([]agg.State, 0, len(order)),
-	}
-	for _, k := range order {
-		out.Keys = append(out.Keys, results.DecodeKey(k)...)
-		g := groups[k]
-		out.Add = append(out.Add, g.add)
-		out.Del = append(out.Del, g.del)
+	perm := sortRows(d.Keys, d.Width, d.Rows(), cols, qCards, nil)
+	out := &Delta{Width: width}
+	for _, r := range perm {
+		row := d.Row(int(r))
+		if last := out.Rows() - 1; last >= 0 && sameProjected(out.Row(last), row, cols) {
+			out.Add[last].Merge(d.Add[r])
+			out.Del[last].Merge(d.Del[r])
+			continue
+		}
+		for _, c := range cols {
+			out.Keys = append(out.Keys, row[c])
+		}
+		out.Add = append(out.Add, d.Add[r])
+		out.Del = append(out.Del, d.Del[r])
 	}
 	return out
-}
-
-// encodeKey renders a code tuple as a comparable map key (little-endian
-// bytes, same layout as results.DecodeKey reverses).
-func encodeKey(key []uint32) string {
-	buf := make([]byte, 4*len(key))
-	for i, v := range key {
-		buf[4*i] = byte(v)
-		buf[4*i+1] = byte(v >> 8)
-		buf[4*i+2] = byte(v >> 16)
-		buf[4*i+3] = byte(v >> 24)
-	}
-	return string(buf)
 }
 
 // FoldStats describes how one FoldDelta maintained its cuboid.
@@ -145,7 +118,7 @@ func FoldDelta(base *Cuboid, d *Delta, recompute func(key []uint32) agg.State) (
 		case j == m:
 			cmp = -1
 		default:
-			cmp = results.CompareTuples(base.Row(i), d.Row(j))
+			cmp = slices.Compare(base.Row(i), d.Row(j))
 		}
 		switch {
 		case cmp < 0: // untouched base cell

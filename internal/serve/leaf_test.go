@@ -30,6 +30,9 @@ func resultsLeaf(width int, keys []uint32, meas []float64) *Cuboid {
 	return &Cuboid{Mask: mask, Width: width, Keys: k, States: s}
 }
 
+// encodeKey renders a code tuple as a comparable map key.
+func encodeKey(key []uint32) string { return fmt.Sprint(key) }
+
 // TestLeafFromRowsMatchesReference table-tests the radix leaf builder
 // against resultsLeaf over widths 0–6, cardinalities needing one, two and
 // three radix passes, and inputs that are empty, all one tuple, or full

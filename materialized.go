@@ -8,6 +8,7 @@ import (
 
 	"icebergcube/internal/cluster"
 	"icebergcube/internal/ingest"
+	"icebergcube/internal/relation"
 	"icebergcube/internal/serve"
 )
 
@@ -33,9 +34,10 @@ import (
 // with queries (writes are serialized internally).
 type Materialized struct {
 	schema // the materialized dimensions, in cube order
-	ds     *Dataset
-	dims   []int
-	cube   *ingest.Cube
+	// dicts holds the dataset dictionary of each materialized dimension,
+	// nil for synthetic data; the dataset itself is not kept.
+	dicts []*relation.Encoder
+	cube  *ingest.Cube
 
 	// ext extends the dataset's dictionary with values first seen by
 	// Append: per materialized position, codes ≥ ext[p].base decode
@@ -311,16 +313,18 @@ func (m *Materialized) CuboidStats() []CuboidStat {
 // cuboid is kept at minimum support 1 — exactly as the paper's §5.1 plan
 // does — because a filtered leaf would undercount coarser group-bys
 // (cells below the floor still contribute to their ancestors'
-// aggregates). The result is published as snapshot version 1. workers no
-// longer affects the build; it is kept for source compatibility.
+// aggregates). The result is published as snapshot version 1. The cube
+// keeps the dictionaries of dims, not ds, so the caller may drop ds.
+// workers no longer affects the build; it is kept for source
+// compatibility.
 func Materialize(ds *Dataset, dims []string, workers int) (*Materialized, error) {
 	idx, err := ds.resolveDims(dims)
 	if err != nil {
 		return nil, err
 	}
 	// The raw rows, projected onto the materialized dimensions, are both
-	// the leaf's input and the write path's row store: exact re-derivation
-	// of non-retractable cells and delete validation.
+	// the leaf's input and the source of the write path's measure column:
+	// exact re-derivation of non-retractable cells and delete validation.
 	n := ds.rel.Len()
 	rowKeys := make([]uint32, 0, n*len(idx))
 	meas := make([]float64, n)
@@ -342,11 +346,14 @@ func Materialize(ds *Dataset, dims []string, workers int) (*Materialized, error)
 // newMaterialized builds the naming and dictionary-extension state of a
 // cube over dataset columns idx; the caller attaches the ingest cube.
 func newMaterialized(ds *Dataset, idx []int) *Materialized {
-	m := &Materialized{ds: ds, dims: idx, ext: make([]extDim, len(idx))}
+	m := &Materialized{ext: make([]extDim, len(idx))}
 	attrs := make([]string, len(idx))
 	for i, d := range idx {
 		attrs[i] = ds.rel.Name(d)
 		m.ext[i] = extDim{base: ds.rel.Card(d), codes: make(map[string]uint32)}
+		if ds.dict != nil {
+			m.dicts = append(m.dicts, ds.dict.Encoders[d])
+		}
 	}
 	m.schema = newSchema(attrs, "materialized dimension", m.decodeValue)
 	return m
@@ -474,11 +481,11 @@ func (m *Materialized) encodeRows(rows [][]string, measures []float64, extend bo
 	if len(rows) != len(measures) {
 		return nil, nil, fmt.Errorf("icebergcube: %d rows but %d measures", len(rows), len(measures))
 	}
-	keys := make([]uint32, 0, len(rows)*len(m.dims))
+	keys := make([]uint32, 0, len(rows)*len(m.attrs))
 	var added []dictExt
 	for i, row := range rows {
-		if len(row) != len(m.dims) {
-			return nil, nil, fmt.Errorf("icebergcube: row %d has %d values, want %d", i, len(row), len(m.dims))
+		if len(row) != len(m.attrs) {
+			return nil, nil, fmt.Errorf("icebergcube: row %d has %d values, want %d", i, len(row), len(m.attrs))
 		}
 		for p, v := range row {
 			code, fresh, err := m.encodeValue(p, v, extend)
@@ -498,8 +505,8 @@ func (m *Materialized) encodeRows(rows [][]string, measures []float64, extend bo
 // dataset dictionary first, then the extension layer. fresh reports the
 // code was assigned by this call.
 func (m *Materialized) encodeValue(p int, v string, extend bool) (code uint32, fresh bool, err error) {
-	if m.ds.dict != nil {
-		if c, ok := m.ds.dict.Encoders[m.dims[p]].Lookup(v); ok {
+	if m.dicts != nil {
+		if c, ok := m.dicts[p].Lookup(v); ok {
 			return c, false, nil
 		}
 		m.extMu.Lock()
@@ -528,8 +535,11 @@ func (m *Materialized) encodeValue(p int, v string, extend bool) (code uint32, f
 // decodeValue renders one materialized dimension's code: the dataset
 // dictionary for base codes, the extension layer for appended values.
 func (m *Materialized) decodeValue(p int, code uint32) string {
-	if m.ds.dict == nil || int(code) < m.ext[p].base {
-		return m.ds.decode(m.dims[p], code)
+	if m.dicts == nil {
+		return strconv.FormatUint(uint64(code), 10)
+	}
+	if int(code) < m.ext[p].base {
+		return m.dicts[p].Decode(code)
 	}
 	m.extMu.RLock()
 	defer m.extMu.RUnlock()

@@ -2,8 +2,10 @@ package icebergcube
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"icebergcube/internal/agg"
 	"icebergcube/internal/core"
@@ -76,9 +78,13 @@ func TestMaterializeLeafMatchesPrecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	idx, err := ds.resolveDims(dims)
+	if err != nil {
+		t.Fatal(err)
+	}
 	set := results.NewSet()
 	if _, err := exp.PrecomputeLeaf(core.Run{
-		Rel: ds.rel, Dims: mat.dims, Cond: agg.MinSupport(1), Workers: 8, Sink: set, Seed: 1,
+		Rel: ds.rel, Dims: idx, Cond: agg.MinSupport(1), Workers: 8, Sink: set, Seed: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -92,6 +98,45 @@ func TestMaterializeLeafMatchesPrecompute(t *testing.T) {
 		if s.Count != w.Count || math.Abs(s.Sum-w.Sum) > 1e-9 || s.Min != w.Min || s.Max != w.Max {
 			t.Fatalf("cell %d %v: state %+v, want %+v", i, got.Row(i), s, w)
 		}
+	}
+}
+
+// TestMaterializeDoesNotPinDataset: a materialized cube keeps only its own
+// dimensions' dictionaries, so the dataset it was built from — every
+// column of the raw relation — is collected once the caller drops it,
+// and answers still decode to the dataset's strings.
+func TestMaterializeDoesNotPinDataset(t *testing.T) {
+	freed := make(chan struct{})
+	mat := func() *Materialized {
+		ds, err := FromRows([]string{"A", "B", "C"},
+			[][]string{{"x", "p", "u"}, {"y", "q", "u"}, {"x", "q", "v"}}, []float64{1, 2, 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(ds, func(*Dataset) { close(freed) })
+		mat, err := Materialize(ds, []string{"A", "B"}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mat
+	}()
+	deadline := time.After(10 * time.Second)
+	for collected := false; !collected; {
+		runtime.GC()
+		select {
+		case <-freed:
+			collected = true
+		case <-time.After(10 * time.Millisecond):
+		case <-deadline:
+			t.Fatal("the dataset stays reachable from the materialized cube")
+		}
+	}
+	cells, err := mat.Answer([]string{"A"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 2 || cells[0].Values[0] != "x" || cells[0].Count != 2 || cells[1].Values[0] != "y" {
+		t.Fatalf("answer after the dataset was collected: %+v", cells)
 	}
 }
 

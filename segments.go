@@ -28,7 +28,7 @@ func (m *Materialized) FlushSegments(dir string) error {
 // wal.NewMemFS).
 func (m *Materialized) FlushSegmentsFS(fsys wal.FS, dir string) error {
 	keys, meas := m.cube.LiveRows()
-	w := len(m.dims)
+	w := len(m.attrs)
 
 	// Effective code space per position: the base dictionary plus the
 	// extension layer. Synthetic data sets accept arbitrary decimal codes
@@ -39,10 +39,10 @@ func (m *Materialized) FlushSegmentsFS(fsys wal.FS, dir string) error {
 		cards[p] = m.ext[p].base + len(m.ext[p].values)
 	}
 	var dicts [][]string
-	if m.ds.dict != nil {
+	if m.dicts != nil {
 		dicts = make([][]string, w)
 		for p := range dicts {
-			base := m.ds.dict.Encoders[m.dims[p]].Values()[:m.ext[p].base]
+			base := m.dicts[p].Values()[:m.ext[p].base]
 			dicts[p] = append(append([]string(nil), base...), m.ext[p].values...)
 		}
 	}
