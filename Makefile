@@ -8,6 +8,8 @@ FUZZ_TARGETS_ROOT := FuzzIncrementalMaintenance
 FUZZ_TARGETS_WAL := FuzzWALReplay
 # Segment fuzz targets (seed corpus under internal/segment/testdata/fuzz/).
 FUZZ_TARGETS_SEGMENT := FuzzSegmentReader
+# HTTP edge fuzz targets (seeds in the test: f.Add).
+FUZZ_TARGETS_HTTPSERVE := FuzzWireEncoding
 
 .PHONY: build vet test short race chaos fuzz corpus bench-smoke bench-e2e bench-gate loc leftovers
 
@@ -50,8 +52,8 @@ chaos:
 # Run each fuzz target for $(FUZZTIME) (CI's fuzz-smoke job runs this).
 # Checked-in corpus entries under internal/oracle/testdata/fuzz/,
 # testdata/fuzz/, internal/wal/testdata/fuzz/ and
-# internal/segment/testdata/fuzz/ also replay as regression tests in
-# `make test`.
+# internal/segment/testdata/fuzz/, and FuzzWireEncoding's f.Add seeds,
+# also replay as regression tests in `make test`.
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		echo "== $$t =="; \
@@ -69,6 +71,10 @@ fuzz:
 		echo "== $$t =="; \
 		go test ./internal/segment -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done
+	@for t in $(FUZZ_TARGETS_HTTPSERVE); do \
+		echo "== $$t =="; \
+		go test ./internal/httpserve -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) || exit 1; \
+	done
 
 # Regenerate the checked-in seed corpora: the oracle corpus from
 # internal/oracle/seeds.go, the WAL replay corpus from fuzzSeedLogs, the
@@ -84,8 +90,9 @@ corpus:
 # count is deterministic; ns/op on shared runners is too noisy to gate.
 # -strict makes a benchmark that is absent from the baseline a failure, so
 # every new benchmark must be frozen into bench/baseline.json in its own PR.
+# BenchmarkEncodeQuery (internal/httpserve) is the hit path's wire rung.
 bench-smoke:
-	go test -run xxx -bench 'BenchmarkFig|BenchmarkSec5_1|BenchmarkServe|BenchmarkCommit|BenchmarkWAL|BenchmarkRecover|BenchmarkSegment|BenchmarkSpill' -benchmem -benchtime 1x -timeout 30m . | \
+	go test -run xxx -bench 'BenchmarkFig|BenchmarkSec5_1|BenchmarkServe|BenchmarkCommit|BenchmarkWAL|BenchmarkRecover|BenchmarkSegment|BenchmarkSpill|BenchmarkEncodeQuery' -benchmem -benchtime 1x -timeout 30m . ./internal/httpserve | \
 		go run ./cmd/benchguard -strict -out BENCH_$$(date +%F).json -baseline bench/baseline.json
 
 # One run of the repo's end-to-end benchmark (BENCHMARK.json): builds into

@@ -156,10 +156,9 @@ func Compute(ds *Dataset, q Query) (*Result, error) {
 	for i, d := range dims {
 		attrs[i] = ds.rel.Name(d)
 	}
-	decode := func(p int, code uint32) string { return ds.decode(dims[p], code) }
 	tot := rep.Totals()
 	return &Result{
-		schema:       newSchema(attrs, resultNoun, decode),
+		schema:       newSchema(attrs, resultNoun, ds.decoder(dims)),
 		set:          set,
 		Algorithm:    q.Algorithm,
 		Makespan:     rep.Makespan,
@@ -187,10 +186,16 @@ func (r *Result) Cuboid(groupBy ...string) ([]Cell, error) {
 		return nil, err
 	}
 	keys, states := r.set.CuboidColumns(mask)
-	cub := &serve.Cuboid{Mask: mask, Width: len(order), Keys: keys, States: states}
-	cells := make([]Cell, 0, len(states))
 	// Every stored cell already met the query's condition.
-	err = r.eachCell(cub, 1, func(c Cell) error {
+	cols := &Columns{
+		GroupBy:    r.maskAttrs(mask),
+		MinSupport: 1,
+		schema:     &r.schema,
+		order:      order,
+		cub:        &serve.Cuboid{Mask: mask, Width: len(order), Keys: keys, States: states},
+	}
+	cells := make([]Cell, 0, len(states))
+	err = cols.eachCell(func(c Cell) error {
 		cells = append(cells, c)
 		return nil
 	})

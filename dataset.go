@@ -111,6 +111,16 @@ func (d *Dataset) decode(dim int, code uint32) string {
 	return fmt.Sprintf("%d", code)
 }
 
+// decoder is the schema decode function of a cube over columns dims (cube
+// position p is column dims[p]): nil for synthetic data, whose codes are
+// their own values.
+func (d *Dataset) decoder(dims []int) func(p int, code uint32) string {
+	if d.dict == nil {
+		return nil
+	}
+	return func(p int, code uint32) string { return d.dict.Encoders[dims[p]].Decode(code) }
+}
+
 // PickDimsByCardinalityProduct selects k dimensions whose cardinality
 // product is close to 10^targetLog10 — the knob the paper's sparseness
 // experiments sweep. It returns dimension names for use in Query.Dims.

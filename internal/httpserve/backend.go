@@ -7,19 +7,23 @@ import (
 )
 
 // Backend is the slice of the serving stack the HTTP front-end needs:
-// dimension names for request validation, a streaming answer path, and
-// enough observability to report coalescing effectiveness. Both the warm
-// (Materialized) and cold (ColdCube) tiers satisfy it through one
-// adapter, so one front-end serves either.
+// dimension names for request validation, an undecoded answer to encode
+// from, and enough observability to report coalescing effectiveness.
+// Both the warm (Materialized) and cold (ColdCube) tiers satisfy it
+// through one adapter, so one front-end serves either.
 type Backend interface {
 	// Attrs returns the cube's dimension names in canonical order.
 	Attrs() []string
 	// Version returns the currently served snapshot version (0 for
 	// immutable backends).
 	Version() uint64
-	// AnswerEach streams every qualifying cell of the group-by to yield in
-	// ascending value-tuple order and returns the snapshot version the
-	// answer was served at. Cancelling ctx abandons the answer.
+	// AnswerColumns answers the group-by as codes and aggregate states,
+	// labelled with the snapshot version it was served at. Cancelling ctx
+	// abandons the answer. Both response forms encode from it.
+	AnswerColumns(ctx context.Context, groupBy []string, minSupport int64) (*icebergcube.Columns, error)
+	// AnswerEach streams every qualifying cell of the group-by, decoded, to
+	// yield in ascending value-tuple order and returns the snapshot version
+	// the answer was served at.
 	AnswerEach(ctx context.Context, groupBy []string, minSupport int64, yield func(icebergcube.Cell) error) (uint64, error)
 	// Derivations returns the cumulative count of cuboid computations the
 	// backend has performed (cache hits and coalesced waits excluded).
@@ -37,6 +41,7 @@ type Mutator interface {
 // cube is what both serving tiers expose identically.
 type cube interface {
 	Attrs() []string
+	AnswerColumns(ctx context.Context, groupBy []string, minSupport int64) (*icebergcube.Columns, error)
 	AnswerEach(ctx context.Context, groupBy []string, minSupport int64, yield func(icebergcube.Cell) error) (icebergcube.ServeStats, error)
 }
 

@@ -17,8 +17,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-
-	icebergcube "icebergcube"
 )
 
 // Config configures a Server.
@@ -218,52 +216,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
-// streamQuery writes the NDJSON form: one StreamHeader line, one line
-// per cell, one StreamTrailer line — flushing every flushN cells so a
-// full-lattice dump reaches the client incrementally and never buffers
-// the whole result server-side. Streams bypass the flights: their bytes
-// go to the socket as they are produced, so there is no buffer to share.
+// streamQuery writes the NDJSON form (encoder.ndjson), flushing every
+// flushN cells so a full-lattice dump reaches the client incrementally
+// and never buffers the whole result server-side. Its header carries the
+// version the answer was served at, whatever commits since. Streams
+// bypass the flights: their bytes go to the socket as they are produced,
+// so there is no buffer to share.
 func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, canonical []string, minSupport int64) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-
-	enc := json.NewEncoder(w)
-	wroteHeader := false
-	cells := 0
-	_, err := s.backend.AnswerEach(ctx, canonical, minSupport, func(c icebergcube.Cell) error {
-		if !wroteHeader {
-			// The serving version is only known once the answer starts;
-			// header cells==false is fine, clients read the trailer count.
-			hdr := StreamHeader{Version: s.backend.Version(), GroupBy: canonical, MinSupport: minSupport, Stream: true}
-			if err := enc.Encode(&hdr); err != nil {
-				return err
-			}
-			wroteHeader = true
-		}
-		if err := enc.Encode(wireCell(c)); err != nil {
-			return err
-		}
-		cells++
-		if flusher != nil && cells%s.flushN == 0 {
-			flusher.Flush()
-		}
-		return nil
-	})
+	cols, err := s.backend.AnswerColumns(ctx, canonical, minSupport)
 	if err != nil {
-		// Mid-stream failure: the status line is already sent, so the only
-		// honest signal is a truncated stream (no trailer).
-		return
+		return // an empty stream: no header, no trailer
 	}
-	if !wroteHeader {
-		hdr := StreamHeader{Version: s.backend.Version(), GroupBy: canonical, MinSupport: minSupport, Stream: true}
-		if err := enc.Encode(&hdr); err != nil {
-			return
-		}
+	flush := func() {}
+	if f, ok := w.(http.Flusher); ok {
+		flush = f.Flush
 	}
-	enc.Encode(StreamTrailer{Cells: cells})
-	if flusher != nil {
-		flusher.Flush()
-	}
+	newEncoder(cols).ndjson(w, s.flushN, flush)
 }
 
 func (s *Server) handleDims(w http.ResponseWriter, r *http.Request) {

@@ -202,29 +202,20 @@ func newBlockingBackend(b Backend) *blockingBackend {
 	return &blockingBackend{Backend: b, gate: make(chan struct{}), entered: make(chan struct{}, 128)}
 }
 
-func (b *blockingBackend) AnswerEach(ctx context.Context, groupBy []string, minSupport int64, yield func(icebergcube.Cell) error) (uint64, error) {
+func (b *blockingBackend) AnswerColumns(ctx context.Context, groupBy []string, minSupport int64) (*icebergcube.Columns, error) {
 	b.calls.Add(1)
-	var cells []icebergcube.Cell
-	version, err := b.Backend.AnswerEach(ctx, groupBy, minSupport, func(c icebergcube.Cell) error {
-		cells = append(cells, c)
-		return nil
-	})
+	cols, err := b.Backend.AnswerColumns(ctx, groupBy, minSupport)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	b.entered <- struct{}{}
 	select {
 	case <-b.gate:
 	case <-ctx.Done():
 		b.cancelled.Add(1)
-		return 0, ctx.Err()
+		return nil, ctx.Err()
 	}
-	for _, c := range cells {
-		if err := yield(c); err != nil {
-			return 0, err
-		}
-	}
-	return version, nil
+	return cols, nil
 }
 
 // waitFor polls cond until it holds; the conditions tests wait on are
@@ -352,7 +343,7 @@ func burstServer(t *testing.T) (*Server, *blockingBackend, *icebergcube.Material
 // version.
 func burstBody(t *testing.T, m *icebergcube.Materialized) []byte {
 	t.Helper()
-	want, err := EncodeQuery(context.Background(), Warm(m), []string{"Model", "Year", "Color"}, 1)
+	want, err := referenceBody(Warm(m), []string{"Model", "Year", "Color"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,8 +351,7 @@ func burstBody(t *testing.T, m *icebergcube.Materialized) []byte {
 }
 
 // TestBatchingCoalesces: identical queries that overlap one encode share
-// it — one backend call, and every response is the bytes EncodeQuery
-// produces.
+// it — one backend call, and every response is the reference encoding.
 func TestBatchingCoalesces(t *testing.T) {
 	s, bb, m := burstServer(t)
 	const G = 64
@@ -376,7 +366,7 @@ func TestBatchingCoalesces(t *testing.T) {
 	for i, ch := range reqs {
 		rec := <-ch
 		if rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), want) {
-			t.Fatalf("response %d: status %d, body differs from EncodeQuery:\n%s\n%s", i, rec.Code, rec.Body, want)
+			t.Fatalf("response %d: status %d, body differs from the reference:\n%s\n%s", i, rec.Code, rec.Body, want)
 		}
 	}
 	if n := bb.calls.Load(); n != 1 {
@@ -619,7 +609,7 @@ func TestColdBackendIsReadOnly(t *testing.T) {
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("cold mutate status %d, want 405", rec.Code)
 	}
-	want, err := EncodeQuery(context.Background(), Warm(m), []string{"Model", "Year"}, 2)
+	want, err := referenceBody(Warm(m), []string{"Model", "Year"}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -668,8 +658,8 @@ func TestClientDisconnectCancelsQuery(t *testing.T) {
 	}
 }
 
-// TestEncodeQueryDifferential: EncodeQuery (what the tests use to build
-// expected bodies) and the live handler produce identical bytes.
+// TestEncodeQueryDifferential: the live handler's bytes, buffered and
+// streamed, equal encoding/json's over the decoded answer.
 func TestEncodeQueryDifferential(t *testing.T) {
 	s, m := newTestServer(t, Config{})
 	for _, gb := range [][]string{nil, {"Model"}, {"Year", "Model"}, {"Model", "Year", "Color"}} {
@@ -684,12 +674,48 @@ func TestEncodeQueryDifferential(t *testing.T) {
 		if rec.Code != 200 {
 			t.Fatalf("%v: status %d", gb, rec.Code)
 		}
-		want, err := EncodeQuery(context.Background(), Warm(m), gb, 2)
+		want, err := referenceBody(Warm(m), gb, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(rec.Body.Bytes(), want) {
-			t.Fatalf("%v: live body differs from EncodeQuery:\n%s\n%s", gb, rec.Body, want)
+			t.Fatalf("%v: live body differs from the reference:\n%s\n%s", gb, rec.Body, want)
+		}
+		stream := get(t, s, url+"&stream=1", nil)
+		if want := referenceStream(Warm(m), gb, 2); !bytes.Equal(stream.Body.Bytes(), want) {
+			t.Fatalf("%v: live stream differs from the reference:\n%s\n%s", gb, stream.Body, want)
+		}
+	}
+}
+
+// TestStreamHeaderCarriesAnswerVersion: a commit that lands after the
+// answer was taken but before the stream's header is written does not
+// relabel the stream — the header carries the version its cells were
+// answered at, for a non-empty and for an empty answer alike.
+func TestStreamHeaderCarriesAnswerVersion(t *testing.T) {
+	for _, url := range []string{
+		"/v1/query?group_by=Model&stream=1",
+		"/v1/query?group_by=Model&min_support=1000&stream=1",
+	} {
+		s, bb, m := burstServer(t)
+		v0 := m.Version()
+		done := getAsync(context.Background(), s, url)
+		<-bb.entered // the answer at v0 is computed and parked
+		if err := m.Append([][]string{{"tesla", "1991", "red"}}, []float64{99}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		close(bb.gate)
+		rec := <-done
+		line, _, _ := bytes.Cut(rec.Body.Bytes(), []byte("\n"))
+		var hdr StreamHeader
+		if err := json.Unmarshal(line, &hdr); err != nil {
+			t.Fatalf("%s: header %q: %v", url, line, err)
+		}
+		if hdr.Version != v0 {
+			t.Fatalf("%s: stream header says version %d, the cells are from version %d", url, hdr.Version, v0)
 		}
 	}
 }

@@ -1,19 +1,16 @@
 package httpserve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"sort"
-
-	icebergcube "icebergcube"
 )
 
-// The JSON wire format of /v1/query is a public contract: a golden-file
-// test pins the exact bytes, and the tests re-derive expected bodies
-// through the same encoder to cross-check live responses byte for byte.
-// Change it only together with the golden files.
+// The JSON wire format of /v1/query is a public contract: the types below
+// document it for clients, the append encoder in encode.go writes it, and
+// golden files pin the exact bytes. Tests hold the encoder to
+// encoding/json over these types. Change it only together with the golden
+// files.
 
 // QueryResponse is the non-streaming response body of GET /v1/query.
 type QueryResponse struct {
@@ -56,18 +53,6 @@ type StreamTrailer struct {
 	Cells int `json:"cells"`
 }
 
-// wireCell converts a decoded cell to its wire form.
-func wireCell(c icebergcube.Cell) WireCell {
-	return WireCell{
-		Values: c.Values,
-		Count:  c.Count,
-		Sum:    c.Sum,
-		Min:    c.Min,
-		Max:    c.Max,
-		Avg:    c.Avg,
-	}
-}
-
 // CanonicalGroupBy validates groupBy against attrs (unknown or duplicate
 // names are errors) and returns the names sorted into cube dimension
 // order — the order the serving layer answers in, whatever order the
@@ -95,9 +80,8 @@ func CanonicalGroupBy(attrs, groupBy []string) ([]string, error) {
 }
 
 // EncodeQuery answers one group-by from the backend and encodes the
-// canonical non-streaming response body. A flight calls it once and hands
-// the returned buffer to every waiter; tests call it in-process to
-// produce the expected bytes a live HTTP response must match exactly.
+// canonical non-streaming response body, straight from the answer's codes.
+// A flight calls it once and hands the returned buffer to every waiter.
 func EncodeQuery(ctx context.Context, b Backend, groupBy []string, minSupport int64) ([]byte, error) {
 	canonical, err := CanonicalGroupBy(b.Attrs(), groupBy)
 	if err != nil {
@@ -106,23 +90,9 @@ func EncodeQuery(ctx context.Context, b Backend, groupBy []string, minSupport in
 	if minSupport < 1 {
 		minSupport = 1
 	}
-	resp := QueryResponse{
-		GroupBy:    canonical,
-		MinSupport: minSupport,
-		Cells:      []WireCell{},
-	}
-	version, err := b.AnswerEach(ctx, canonical, minSupport, func(c icebergcube.Cell) error {
-		resp.Cells = append(resp.Cells, wireCell(c))
-		return nil
-	})
+	cols, err := b.AnswerColumns(ctx, canonical, minSupport)
 	if err != nil {
 		return nil, err
 	}
-	resp.Version = version
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(&resp); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return newEncoder(cols).body()
 }

@@ -182,6 +182,34 @@ func TestAdaptiveEvictionIsCostAware(t *testing.T) {
 	}
 }
 
+// TestAdaptiveTieIsRejected: admission needs every victim to score
+// strictly below the newcomer. A newcomer that only ties the resident it
+// would displace is rejected, and nothing is evicted.
+func TestAdaptiveTieIsRejected(t *testing.T) {
+	cards := []int{8, 9}
+	leaf, _ := buildLeaf(cards, 500, 2)
+	srv := NewServer(leaf, cards, 1<<30)
+	a, _, err := srv.Query(lattice.MaskOf(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := srv.Query(lattice.MaskOf(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newCache(max(a.SizeBytes(), b.SizeBytes())) // either fits, not both
+	c.setPolicy(true, 1)
+	if ok, _ := c.add(a.Mask, a, c.generation(), 10.0); !ok {
+		t.Fatal("first admission rejected")
+	}
+	if ok, evicted := c.add(b.Mask, b, c.generation(), 10.0); ok || evicted != 0 {
+		t.Fatalf("tied newcomer: admitted=%v evicted=%d, want rejected with no eviction", ok, evicted)
+	}
+	if !c.peek(a.Mask) || c.peek(b.Mask) || c.evictions != 0 {
+		t.Fatalf("resident set after a tied admission: a=%v b=%v evictions=%d", c.peek(a.Mask), c.peek(b.Mask), c.evictions)
+	}
+}
+
 // TestPrecomputeBudgetDeterministic: Precompute admits in benefit order
 // under the byte budget — the admitted set depends on the mask set, not
 // the caller's order — and reports what was computed but not retained.

@@ -240,6 +240,11 @@ func newServer(leaf leafSource, full lattice.Mask, cards []int, budgetBytes int6
 // Leaf returns the pinned leaf cuboid (nil when the leaf is streamed).
 func (s *Server) Leaf() *Cuboid { return s.leaf.pinned() }
 
+// Cards returns the code cardinality of every leaf column: every code of
+// a cuboid this server answers is below its column's. The caller must not
+// modify the result.
+func (s *Server) Cards() []int { return s.cards }
+
 // pinnedFor returns the resident leaf when q is its group-by — the one
 // cuboid served without the cache. A streamed leaf pins nothing: its
 // full-mask cuboid is computed and cached like any other.

@@ -290,6 +290,23 @@ func TestBrokenLogRefusesWrites(t *testing.T) {
 	}
 }
 
+// TestRetriesExactlyRetries: an operation that keeps failing transiently
+// is retried exactly Options.Retries times — one attempt plus that many
+// retries reach the filesystem — and then fails with the transient error.
+func TestRetriesExactlyRetries(t *testing.T) {
+	for _, retries := range []int{1, 3} {
+		fsys := NewFaultFS(NewMemFS(), Plan{Seed: 5, TransientProb: 1.0}) // every op fails
+		lg := &Log{fsys: fsys, dir: "w", opt: Options{Retries: retries, Backoff: time.Nanosecond, SegmentBytes: 4 << 20}}
+		err := lg.openSegment(1, false)
+		if !IsTransient(err) {
+			t.Fatalf("retries=%d: openSegment error %v, want the transient fault", retries, err)
+		}
+		if ops := fsys.OpCount(); ops != 1+retries {
+			t.Fatalf("retries=%d: %d attempts reached the filesystem, want %d", retries, ops, 1+retries)
+		}
+	}
+}
+
 // TestCrashDropsUnsynced: records appended but never synced may vanish at
 // a crash; synced records never do.
 func TestCrashDropsUnsynced(t *testing.T) {

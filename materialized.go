@@ -355,7 +355,11 @@ func newMaterialized(ds *Dataset, idx []int) *Materialized {
 			m.dicts = append(m.dicts, ds.dict.Encoders[d])
 		}
 	}
-	m.schema = newSchema(attrs, "materialized dimension", m.decodeValue)
+	var decode func(p int, code uint32) string
+	if m.dicts != nil {
+		decode = m.decodeValue
+	}
+	m.schema = newSchema(attrs, "materialized dimension", decode)
 	return m
 }
 
@@ -534,10 +538,9 @@ func (m *Materialized) encodeValue(p int, v string, extend bool) (code uint32, f
 
 // decodeValue renders one materialized dimension's code: the dataset
 // dictionary for base codes, the extension layer for appended values.
+// Only a cube over a dictionary decodes; a synthetic cube's codes are
+// their own values.
 func (m *Materialized) decodeValue(p int, code uint32) string {
-	if m.dicts == nil {
-		return strconv.FormatUint(uint64(code), 10)
-	}
 	if int(code) < m.ext[p].base {
 		return m.dicts[p].Decode(code)
 	}
@@ -574,6 +577,15 @@ func (m *Materialized) AnswerStats(groupBy []string, minSupport int64) ([]Cell, 
 func (m *Materialized) AnswerEach(ctx context.Context, groupBy []string, minSupport int64, yield func(Cell) error) (ServeStats, error) {
 	v := m.cube.Current()
 	return m.answerEach(ctx, v.Srv, v.Version, groupBy, minSupport, yield)
+}
+
+// AnswerColumns answers one group-by at the current snapshot without
+// decoding it: the qualifying rows' codes and states plus the lookup that
+// renders them — the form the HTTP edge encodes from. Cancelling ctx has
+// AnswerEach's effect.
+func (m *Materialized) AnswerColumns(ctx context.Context, groupBy []string, minSupport int64) (*Columns, error) {
+	v := m.cube.Current()
+	return m.columns(ctx, v.Srv, v.Version, groupBy, minSupport)
 }
 
 // AnswerAt is Answer pinned to a committed snapshot version — the

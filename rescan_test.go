@@ -66,7 +66,7 @@ func (m *Materialized) answerLeafRescan(groupBy []string, minSupport int64) ([]C
 		}
 		values := make([]string, len(codes))
 		for i, c := range codes {
-			values[i] = m.decodeValue(order[i], c)
+			values[i] = m.value(order[i], c)
 		}
 		cells = append(cells, Cell{
 			Attrs:  attrs,

@@ -118,7 +118,7 @@ func dictOnlySchema(tab *segment.Table, dims []int, noun string) schema {
 	for i, d := range dims {
 		attrs[i] = tab.Names()[d]
 	}
-	return newSchema(attrs, noun, func(p int, code uint32) string { return ds.decode(dims[p], code) })
+	return newSchema(attrs, noun, ds.decoder(dims))
 }
 
 // ColdCube answers group-by queries over a flushed segment table without
@@ -206,6 +206,12 @@ func (c *ColdCube) AnswerStats(groupBy []string, minSupport int64) ([]Cell, Serv
 // mid-table.
 func (c *ColdCube) AnswerEach(ctx context.Context, groupBy []string, minSupport int64, yield func(Cell) error) (ServeStats, error) {
 	return c.answerEach(ctx, c.srv, 0, groupBy, minSupport, yield)
+}
+
+// AnswerColumns answers one group-by without decoding it — same contract
+// as Materialized.AnswerColumns, at version 0.
+func (c *ColdCube) AnswerColumns(ctx context.Context, groupBy []string, minSupport int64) (*Columns, error) {
+	return c.columns(ctx, c.srv, 0, groupBy, minSupport)
 }
 
 // ResetCache drops every cached cuboid (the next miss scans cold again).
