@@ -11,7 +11,7 @@ FUZZ_TARGETS_SEGMENT := FuzzSegmentReader
 # HTTP edge fuzz targets (seeds in the test: f.Add).
 FUZZ_TARGETS_HTTPSERVE := FuzzWireEncoding
 
-.PHONY: build vet test short race chaos fuzz corpus bench-smoke bench-e2e bench-gate loc leftovers
+.PHONY: build vet test short race chaos fuzz corpus bench-smoke bench-e2e bench-gate loc deadcode leftovers
 
 # The chaos suite: fault injection, failure detection and recovery tests
 # across the transport, scheduler, distributed-cube and POL layers. Every
@@ -140,6 +140,12 @@ bench-gate:
 # simplicity PRs report.
 loc:
 	@git ls-files '*.go' ':!*_test.go' ':!benchmark' | xargs cat | wc -l
+
+# Top-level non-test functions that no binary links and that
+# scripts/deadcode.allow does not name (see scripts/deadcode.sh); exits 1
+# if there are any, or if an allowlist line names nothing dead.
+deadcode:
+	@bash scripts/deadcode.sh
 
 # Processes this checkout left running (see scripts/leftovers.sh); exits 1
 # if there are any. Run it before handing a change in.

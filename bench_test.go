@@ -23,7 +23,6 @@ import (
 	"icebergcube/internal/gen"
 	"icebergcube/internal/online"
 	"icebergcube/internal/relation"
-	"icebergcube/internal/seq"
 	"icebergcube/internal/wal"
 )
 
@@ -327,35 +326,6 @@ func BenchmarkAlgorithm(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkSequential compares the Chapter 2 baselines plus BUC on one
-// in-memory workload (the substrate ablation: top-down vs bottom-up).
-func BenchmarkSequential(b *testing.B) {
-	rel := gen.Weather(benchTuples, 2001)
-	dims := gen.PickDimsByProduct(rel, 7, 10)
-	cond := agg.MinSupport(2)
-	algos := []struct {
-		name string
-		run  func(ctr *cost.Counters, out *disk.Writer)
-	}{
-		{"BUC", func(ctr *cost.Counters, out *disk.Writer) { core.BUC(rel, dims, cond, out, ctr) }},
-		{"PipeSort", func(ctr *cost.Counters, out *disk.Writer) { seq.PipeSort(rel, dims, cond, out, ctr) }},
-		{"PipeHash", func(ctr *cost.Counters, out *disk.Writer) { seq.PipeHash(rel, dims, cond, out, ctr) }},
-		{"Overlap", func(ctr *cost.Counters, out *disk.Writer) { seq.Overlap(rel, dims, cond, out, ctr) }},
-		{"MemoryCube", func(ctr *cost.Counters, out *disk.Writer) { seq.MemoryCube(rel, dims, cond, out, ctr) }},
-		{"PartitionedCube", func(ctr *cost.Counters, out *disk.Writer) {
-			seq.PartitionedCube(rel, dims, cond, benchTuples/4, out, ctr)
-		}},
-	}
-	for _, a := range algos {
-		b.Run(a.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var ctr cost.Counters
-				a.run(&ctr, disk.NewWriter(&ctr, nil))
 			}
 		})
 	}

@@ -129,9 +129,6 @@ func (t *Table) copyKey(key []uint32) []uint32 {
 	return t.keyArena[off : off+len(key) : off+len(key)]
 }
 
-// Positions returns the cube positions the table covers.
-func (t *Table) Positions() []int { return t.pos }
-
 // Len returns the number of cells.
 func (t *Table) Len() int { return t.length }
 

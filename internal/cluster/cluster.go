@@ -162,10 +162,6 @@ type stagedCell struct {
 	st   agg.State
 }
 
-// NewStage returns a stage forwarding committed cells to target (which may
-// be nil — pure accounting runs).
-func NewStage(target disk.CellSink) *Stage { return &Stage{target: target} }
-
 // WriteCell implements disk.CellSink: the cell is buffered, not yet final.
 func (s *Stage) WriteCell(m lattice.Mask, key []uint32, st agg.State) {
 	s.mu.Lock()

@@ -51,29 +51,19 @@ func (c *bucCtx) unitCtx(ug *cluster.Grip, uout disk.CellSink) *bucCtx {
 	return &bucCtx{rel: c.rel, dims: c.dims, cond: c.cond, out: uout, ctr: &ug.Ctr, scratch: ug.Scratch, grip: ug}
 }
 
-// BUCSubtree computes the full BUC subtree rooted at cube position `start`
-// (the task unit of RP, §3.1) over the rows in view, writing qualifying
-// cells depth-first exactly as BUC does (Fig 2.9): the cell for a partition
-// is written, then the recursion descends — so consecutive writes hop
-// between cuboids and pay the scattered-I/O cost Fig 3.6 measures.
+// BUCSubtreeGrip computes the full BUC subtree rooted at cube position
+// `start` (the task unit of RP, §3.1) over the rows in view, writing
+// qualifying cells depth-first exactly as BUC does (Fig 2.9): the cell for
+// a partition is written, then the recursion descends — so consecutive
+// writes hop between cuboids and pay the scattered-I/O cost Fig 3.6
+// measures. s is the per-worker arena (nil allowed) for all partitioning
+// buffers, keeping steady-state recursion allocation-free. When g is
+// non-nil, recursion levels over views of at least bucForkCutoff rows fork
+// their partition ranges into stealable units on the worker's pool. Output
+// cells, counter totals, and hence all virtual-time accounting are
+// identical to the serial traversal for any pool width.
 //
 // view is reordered in place.
-func BUCSubtree(rel *relation.Relation, view []int32, dims []int, start int, cond agg.Condition, out *disk.Writer, ctr *cost.Counters) {
-	BUCSubtreeScratch(rel, view, dims, start, cond, out, ctr, nil)
-}
-
-// BUCSubtreeScratch is BUCSubtree using the given per-worker arena (nil
-// allowed) for all partitioning buffers, keeping steady-state recursion
-// allocation-free.
-func BUCSubtreeScratch(rel *relation.Relation, view []int32, dims []int, start int, cond agg.Condition, out *disk.Writer, ctr *cost.Counters, s *relation.Scratch) {
-	BUCSubtreeGrip(rel, view, dims, start, cond, out, ctr, s, nil)
-}
-
-// BUCSubtreeGrip is BUCSubtreeScratch with an optional execution-pool grip:
-// when g is non-nil, recursion levels over views of at least bucForkCutoff
-// rows fork their partition ranges into stealable units on the worker's
-// pool. Output cells, counter totals, and hence all virtual-time accounting
-// are identical to the serial traversal for any pool width.
 func BUCSubtreeGrip(rel *relation.Relation, view []int32, dims []int, start int, cond agg.Condition, out *disk.Writer, ctr *cost.Counters, s *relation.Scratch, g *cluster.Grip) {
 	c := &bucCtx{rel: rel, dims: dims, cond: cond, out: out, ctr: ctr, scratch: s, grip: g}
 	key := s.Uint32s(len(dims))
@@ -177,6 +167,6 @@ func BUC(rel *relation.Relation, dims []int, cond agg.Condition, out *disk.Write
 	scratch := relation.NewScratch()
 	writeAll(rel, view, cond, out, ctr)
 	for p := range dims {
-		BUCSubtreeScratch(rel, view, dims, p, cond, out, ctr, scratch)
+		BUCSubtreeGrip(rel, view, dims, p, cond, out, ctr, scratch, nil)
 	}
 }

@@ -101,9 +101,6 @@ func WithLease(d time.Duration) DistOption { return func(c *DistConfig) { c.Leas
 // WithMemBudget caps per-task staged output bytes (see DistConfig).
 func WithMemBudget(b int64) DistOption { return func(c *DistConfig) { c.MemBudget = b } }
 
-// WithTick sets the manager housekeeping interval.
-func WithTick(d time.Duration) DistOption { return func(c *DistConfig) { c.Tick = d } }
-
 // DistReport summarizes a distributed run. Worker ranks only learn Total;
 // the manager fills in the scheduling detail.
 type DistReport struct {

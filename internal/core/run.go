@@ -155,24 +155,6 @@ func (r *Report) WriteIOSeconds() float64 {
 	return total
 }
 
-// CPUSeconds returns the summed simulated CPU time across workers.
-func (r *Report) CPUSeconds() float64 {
-	total := 0.0
-	for _, w := range r.Workers {
-		total += w.Machine.Time(w.Ctr).CPU
-	}
-	return total
-}
-
-// NetSeconds returns the summed simulated network time across workers.
-func (r *Report) NetSeconds() float64 {
-	total := 0.0
-	for _, w := range r.Workers {
-		total += w.Machine.Time(w.Ctr).Net
-	}
-	return total
-}
-
 // run drives the scheduler with the configured runner. Pools attach before
 // and release after whichever runner executes, so Cores composes with the
 // virtual, parallel, and chaos runners alike (Cores>1 without Parallel or

@@ -155,14 +155,3 @@ func PickDimsByProduct(rel *relation.Relation, k int, targetLog10 float64) []int
 	}
 	return picked
 }
-
-// BaselineDims returns the 9-dimension subset used by the baseline
-// configuration (cardinality product roughly 10^13).
-func BaselineDims(rel *relation.Relation) []int {
-	return PickDimsByProduct(rel, 9, 13)
-}
-
-// Uniform generates a relation with uniform value distributions.
-func Uniform(tuples int, cards []int, seed int64) *relation.Relation {
-	return Generate(Spec{Cards: cards, Tuples: tuples, Seed: seed})
-}

@@ -106,7 +106,7 @@ func TestSparsenessKnob(t *testing.T) {
 
 // TestUniformCoversSpace: uniform generation reaches high codes.
 func TestUniformCoversSpace(t *testing.T) {
-	rel := Uniform(5000, []int{10}, 4)
+	rel := Generate(Spec{Cards: []int{10}, Tuples: 5000, Seed: 4})
 	seen := make([]bool, 10)
 	for row := 0; row < rel.Len(); row++ {
 		seen[rel.Value(0, row)] = true
@@ -135,7 +135,7 @@ func TestSkewConcentrates(t *testing.T) {
 
 // TestDefaultNames: generated dims get stable names.
 func TestDefaultNames(t *testing.T) {
-	rel := Uniform(10, []int{2, 2, 2}, 1)
+	rel := Generate(Spec{Cards: []int{2, 2, 2}, Tuples: 10, Seed: 1})
 	if rel.Name(0) != "A" || rel.Name(2) != "C" {
 		t.Fatalf("names %v", rel.Names())
 	}

@@ -94,36 +94,6 @@ func SmallestAncestor(q Mask, candidates []Mask, size func(Mask) int) (Mask, boo
 	return best, bestSize >= 0
 }
 
-// ForEachSubmask visits every submask of m — the cuboids derivable from m
-// by further aggregation, m itself and the "all" node included — in
-// descending numeric order. The standard (s-1)&m walk visits each of the
-// 2^Count(m) submasks exactly once; the admission planner uses it to
-// enumerate the descendants a materialized cuboid would cheapen.
-func (m Mask) ForEachSubmask(fn func(Mask)) {
-	s := m
-	for {
-		fn(s)
-		if s == 0 {
-			return
-		}
-		s = (s - 1) & m
-	}
-}
-
-// Descendants filters candidates to the cuboids derivable from m (strict
-// and non-strict subsets alike, preserving input order). The benefit
-// traversal uses it to find which observed query shapes a candidate
-// materialization would serve.
-func Descendants(m Mask, candidates []Mask) []Mask {
-	out := make([]Mask, 0, len(candidates))
-	for _, c := range candidates {
-		if c.SubsetOf(m) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // PrefixOf reports whether m's attribute sequence is a prefix of o's, i.e.
 // m ⊆ o and every attribute of o \ m is larger than every attribute of m.
 // (ABC is a prefix of ABCD; ACD is not a prefix of ABCD.)
@@ -180,15 +150,3 @@ func All(d int) []Mask {
 // NumCuboids returns 2^d, the number of group-bys of a d-dimensional cube
 // (including "all").
 func NumCuboids(d int) int { return 1 << uint(d) }
-
-// Level returns all cuboids with exactly k attributes, used by the
-// level-by-level planners (PipeSort).
-func Level(d, k int) []Mask {
-	var out []Mask
-	for _, m := range All(d) {
-		if m.Count() == k {
-			out = append(out, m)
-		}
-	}
-	return out
-}

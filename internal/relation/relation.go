@@ -125,113 +125,6 @@ func (r *Relation) Identity() []int32 {
 	return idx
 }
 
-// Project returns a new relation containing only the given dimensions (in
-// the given order) and all rows. Used by experiments that select dimension
-// subsets by cardinality (Fig 4.6) and by the online examples.
-func (r *Relation) Project(dims []int) *Relation {
-	names := make([]string, len(dims))
-	cards := make([]int, len(dims))
-	for i, d := range dims {
-		names[i] = r.names[d]
-		cards[i] = r.cards[d]
-	}
-	p := New(names, cards)
-	p.meas = append([]float64(nil), r.meas...)
-	p.cols = make([][]uint32, len(dims))
-	for i, d := range dims {
-		p.cols[i] = append([]uint32(nil), r.cols[d]...)
-	}
-	return p
-}
-
-// ProjectInto is Project reusing dst's column and measure buffers when
-// their capacity suffices. dst may be nil or a relation from a previous
-// ProjectInto call; the (possibly re-allocated) destination is returned.
-// Used by experiment loops that re-project the same base relation per
-// configuration.
-func (r *Relation) ProjectInto(dst *Relation, dims []int) *Relation {
-	if dst == nil {
-		dst = &Relation{}
-	}
-	dst.names = resize(dst.names, len(dims))
-	dst.cards = resize(dst.cards, len(dims))
-	dst.cols = resize(dst.cols, len(dims))
-	for i, d := range dims {
-		dst.names[i] = r.names[d]
-		dst.cards[i] = r.cards[d]
-		dst.cols[i] = append(resize(dst.cols[i], 0), r.cols[d]...)
-	}
-	dst.meas = append(resize(dst.meas, 0), r.meas...)
-	return dst
-}
-
-// Slice returns a new relation containing rows [lo, hi) in storage order.
-func (r *Relation) Slice(lo, hi int) *Relation {
-	s := New(r.names, r.cards)
-	for d := range r.cols {
-		s.cols[d] = append([]uint32(nil), r.cols[d][lo:hi]...)
-	}
-	s.meas = append([]float64(nil), r.meas[lo:hi]...)
-	return s
-}
-
-// Gather returns a new relation containing the rows named by idx, in order.
-func (r *Relation) Gather(idx []int32) *Relation {
-	s := New(r.names, r.cards)
-	for d := range r.cols {
-		col := make([]uint32, len(idx))
-		src := r.cols[d]
-		for i, row := range idx {
-			col[i] = src[row]
-		}
-		s.cols[d] = col
-	}
-	meas := make([]float64, len(idx))
-	for i, row := range idx {
-		meas[i] = r.meas[row]
-	}
-	s.meas = meas
-	return s
-}
-
-// GatherInto is Gather reusing dst's buffers when their capacity suffices.
-// dst may be nil or a relation from a previous GatherInto call with any
-// schema; the (possibly re-allocated) destination is returned. Used by BPP
-// chunk shipping and the memory-budgeted partition loop, where the same
-// staging relation is filled once per chunk.
-func (r *Relation) GatherInto(dst *Relation, idx []int32) *Relation {
-	if dst == nil {
-		dst = &Relation{}
-	}
-	dst.names = append(resize(dst.names, 0), r.names...)
-	dst.cards = append(resize(dst.cards, 0), r.cards...)
-	dst.cols = resize(dst.cols, len(r.cols))
-	for d := range r.cols {
-		col := resize(dst.cols[d], len(idx))
-		src := r.cols[d]
-		for i, row := range idx {
-			col[i] = src[row]
-		}
-		dst.cols[d] = col
-	}
-	meas := resize(dst.meas, len(idx))
-	for i, row := range idx {
-		meas[i] = r.meas[row]
-	}
-	dst.meas = meas
-	return dst
-}
-
-// resize returns b with length n, reusing its backing array when the
-// capacity allows and allocating otherwise. New elements are zeroed only
-// when a fresh array is allocated — callers overwrite them.
-func resize[T any](b []T, n int) []T {
-	if cap(b) < n {
-		return make([]T, n)
-	}
-	return b[:n]
-}
-
 // SizeBytes estimates the in-memory footprint of the relation, used by the
 // cost model to charge data-set reads and by memory-budget checks.
 func (r *Relation) SizeBytes() int64 {

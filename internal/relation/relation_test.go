@@ -211,23 +211,6 @@ func TestBlockPartition(t *testing.T) {
 	}
 }
 
-// TestGatherProjectSlice covers the copying views.
-func TestGatherProjectSlice(t *testing.T) {
-	r := randomRel(7, 50, []int{5, 6, 7})
-	g := r.Gather([]int32{4, 2, 9})
-	if g.Len() != 3 || g.Value(1, 0) != r.Value(1, 4) || g.Measure(2) != r.Measure(9) {
-		t.Fatal("Gather mis-copied rows")
-	}
-	p := r.Project([]int{2, 0})
-	if p.NumDims() != 2 || p.Name(0) != "C" || p.Value(0, 10) != r.Value(2, 10) {
-		t.Fatal("Project mis-copied columns")
-	}
-	s := r.Slice(10, 20)
-	if s.Len() != 10 || s.Value(0, 0) != r.Value(0, 10) {
-		t.Fatal("Slice mis-copied rows")
-	}
-}
-
 // TestEncoderRoundTrip: encode/decode is the identity on strings; codes are
 // dense and first-seen ordered.
 func TestEncoderRoundTrip(t *testing.T) {

@@ -109,47 +109,6 @@ func TestPartitionViewScratchZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestGatherProjectIntoReuse: the Into variants match their allocating
-// counterparts and stop allocating once the destination fits.
-func TestGatherProjectIntoReuse(t *testing.T) {
-	r := randomRel(9, 500, []int{6, 7, 8})
-	idx := []int32{3, 1, 4, 1, 5, 9, 2, 6}
-	want := r.Gather(idx)
-
-	var dst *Relation
-	dst = r.GatherInto(dst, idx)
-	for d := 0; d < want.NumDims(); d++ {
-		for row := 0; row < want.Len(); row++ {
-			if want.Value(d, row) != dst.Value(d, row) {
-				t.Fatalf("GatherInto dim %d row %d differs", d, row)
-			}
-		}
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		dst = r.GatherInto(dst, idx)
-	})
-	if allocs != 0 {
-		t.Fatalf("warmed GatherInto allocates %.1f objects per run, want 0", allocs)
-	}
-
-	wantP := r.Project([]int{2, 0})
-	var dstP *Relation
-	dstP = r.ProjectInto(dstP, []int{2, 0})
-	for d := 0; d < wantP.NumDims(); d++ {
-		for row := 0; row < wantP.Len(); row += 13 {
-			if wantP.Value(d, row) != dstP.Value(d, row) {
-				t.Fatalf("ProjectInto dim %d row %d differs", d, row)
-			}
-		}
-	}
-	allocs = testing.AllocsPerRun(20, func() {
-		dstP = r.ProjectInto(dstP, []int{2, 0})
-	})
-	if allocs != 0 {
-		t.Fatalf("warmed ProjectInto allocates %.1f objects per run, want 0", allocs)
-	}
-}
-
 // TestScratchPoolDiscipline: pooled buffers come back empty with enough
 // capacity, and Put makes the backing array available again.
 func TestScratchPoolDiscipline(t *testing.T) {

@@ -154,11 +154,6 @@ func (w *Writer) AppendCols(cols [][]uint32, meas []float64) error {
 	return nil
 }
 
-// Rows returns how many rows have been appended so far.
-func (w *Writer) Rows() int64 {
-	return w.man.Rows + int64(len(w.measBuf))
-}
-
 // segName returns the i-th segment file name.
 func segName(i int) string { return fmt.Sprintf("seg-%06d.col", i) }
 

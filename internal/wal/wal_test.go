@@ -149,6 +149,30 @@ func TestSegmentRotation(t *testing.T) {
 	}
 }
 
+// TestSegmentRotationAtExactSize: a segment that has reached SegmentBytes
+// exactly is full, so the next Append opens the next segment.
+func TestSegmentRotationAtExactSize(t *testing.T) {
+	rec := &Record{Type: TypeCommit, Version: 1}
+	opt := fastOpts()
+	opt.SegmentBytes = int64(len(appendFrame(nil, rec))) // one frame fills a segment
+	lg, err := Create(NewMemFS(), "w", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := lg.SegmentIndex()
+	appendRec(t, lg, rec)
+	if got := lg.SegmentIndex(); got != first {
+		t.Fatalf("first record rotated to segment %d, want %d", got, first)
+	}
+	appendRec(t, lg, &Record{Type: TypeCommit, Version: 2})
+	if got := lg.SegmentIndex(); got != first+1 {
+		t.Fatalf("second record went to segment %d, want %d", got, first+1)
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestBitFlipTruncates: a single flipped bit anywhere in a record's frame
 // ends the log at that record — earlier records survive, later ones are
 // discarded, and recovery repairs the file so the next replay is clean.
