@@ -56,6 +56,7 @@ func TestFig3_6_BreadthFirstWritingWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tbl)
 	rp, bpp := seriesByName(t, tbl, "RP"), seriesByName(t, tbl, "BPP")
 	for i := range rp.Points {
 		if rp.Points[i].Y < 3*bpp.Points[i].Y {
@@ -90,6 +91,7 @@ func TestFig4_1_LoadBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tbl)
 	for _, name := range []string{"ASL", "PT", "AHT"} {
 		if r := loadImbalance(seriesByName(t, tbl, name)); r > 1.35 {
 			t.Errorf("%s load max/min = %.2f, want tight balance", name, r)
@@ -113,6 +115,7 @@ func TestFig4_2_Scalability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tbl)
 	pt, rp, asl, aht, bpp := seriesByName(t, tbl, "PT"), seriesByName(t, tbl, "RP"),
 		seriesByName(t, tbl, "ASL"), seriesByName(t, tbl, "AHT"), seriesByName(t, tbl, "BPP")
 
@@ -152,6 +155,7 @@ func TestFig4_5_MinSup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tbl)
 	out := seriesByName(t, tbl, "outMB")
 	for i := 1; i < len(out.Points); i++ {
 		if out.Points[i].Y >= out.Points[i-1].Y {
@@ -188,6 +192,7 @@ func TestFig4_6_Sparseness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tbl)
 	pt := seriesByName(t, tbl, "PT")
 	aht := seriesByName(t, tbl, "AHT")
 	asl := seriesByName(t, tbl, "ASL")
@@ -220,6 +225,7 @@ func TestFig4_3_ProblemSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tbl)
 	pt := seriesByName(t, tbl, "PT")
 	for _, name := range CubeAlgorithms {
 		s := seriesByName(t, tbl, name)
@@ -251,6 +257,7 @@ func TestFig4_4_Dimensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tbl)
 	for _, name := range CubeAlgorithms {
 		s := seriesByName(t, tbl, name)
 		for i := 1; i < len(s.Points); i++ {
@@ -280,6 +287,7 @@ func TestSec5_1_SelectiveMaterialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tbl)
 	s := tbl.Series[0]
 	full, leaf := s.Points[0].Y, s.Points[1].Y
 	if leaf >= full {
@@ -295,6 +303,7 @@ func TestFig5_3_POLScalability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tbl)
 	for _, s := range tbl.Series {
 		for i := 1; i < len(s.Points); i++ {
 			if s.Points[i].Y >= s.Points[i-1].Y {
@@ -319,6 +328,7 @@ func TestFig5_4_BufferSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tbl)
 	s := tbl.Series[0]
 	if s.Points[0].Y <= s.Points[len(s.Points)-1].Y {
 		t.Errorf("POL with the smallest buffer (%.3fs) should be slower than with the largest (%.3fs)",
