@@ -8,11 +8,14 @@ package icebergcube
 // fast a query is served, never what it answers.
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strconv"
 	"testing"
+	"time"
 
 	"icebergcube/internal/lattice"
 	"icebergcube/internal/serve"
@@ -181,7 +184,8 @@ func TestAdaptiveMatchesLRUAcrossCommits(t *testing.T) {
 
 // TestAdaptiveBackgroundMatchesLRU: same equivalence with a real
 // background executor attached (fills race foreground queries); answers
-// must still match query-for-query.
+// must still match query-for-query, and Close must stop the executor's
+// goroutine.
 func TestAdaptiveBackgroundMatchesLRU(t *testing.T) {
 	ds := Synthetic([]string{"A", "B", "C", "D"}, []int{6, 5, 4, 7}, []float64{2, 1, 1.5, 1}, 1500, 31)
 	lru, err := Materialize(ds, nil, 4)
@@ -192,10 +196,19 @@ func TestAdaptiveBackgroundMatchesLRU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ada.SetCachePolicy(CachePolicyConfig{Policy: CacheAdaptive, Seed: 5, ReplanEvery: 8, BackgroundCores: 2}); err != nil {
+	base := backgroundLoops()
+	if err := ada.SetCachePolicy(CachePolicyConfig{Policy: CacheAdaptive, Seed: 5, ReplanEvery: 8, Background: true}); err != nil {
 		t.Fatal(err)
 	}
-	defer ada.Close()
+	if n := backgroundLoops(); n != base+1 {
+		t.Fatalf("%d background executor goroutines after SetCachePolicy, want %d", n, base+1)
+	}
+	closed := false
+	defer func() {
+		if !closed {
+			ada.Close()
+		}
+	}()
 	lru.SetCacheBudget(8 << 10)
 	ada.SetCacheBudget(8 << 10)
 
@@ -216,6 +229,28 @@ func TestAdaptiveBackgroundMatchesLRU(t *testing.T) {
 	if m := ada.CacheMetrics(); m.ResidentBytes > m.BudgetBytes {
 		t.Fatalf("budget violated with background fills: %+v", m)
 	}
+	if err := ada.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed = true
+	// Close waits for the loop to return; the goroutine may still be in
+	// its deferred exit, so allow it a moment to disappear.
+	n := backgroundLoops()
+	for i := 0; i < 100 && n > base; i++ {
+		time.Sleep(time.Millisecond)
+		n = backgroundLoops()
+	}
+	if n != base {
+		t.Fatalf("%d background executor goroutines after Close, want %d", n, base)
+	}
+}
+
+// backgroundLoops counts the live goroutines running the background
+// executor's loop.
+func backgroundLoops() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return bytes.Count(buf, []byte("serve.(*Background).loop"))
 }
 
 // TestAdaptiveBeatsLRUUnderZipf: on one fixed-seed Zipf stream of

@@ -69,34 +69,6 @@ func BenchmarkSec5_1_Materialize(b *testing.B)    { runExpBench(b, "sec5.1") }
 func BenchmarkFig5_3_POLScalability(b *testing.B) { runExpBench(b, "fig5.3") }
 func BenchmarkFig5_4_BufferSize(b *testing.B)     { runExpBench(b, "fig5.4") }
 
-// benchCores measures the two-level runner's real wall clock at the figure
-// scale: same workload and virtual-time results as BenchmarkAlgorithm, with
-// each rank's task bodies forked across an intra-worker pool. cores=1 is
-// the single-goroutine-per-rank baseline the speedup curve is read against.
-func benchCores(b *testing.B, algo string) {
-	rel, dims := benchWorkload(b)
-	for _, cores := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("cores%d", cores), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				run := core.Run{Rel: rel, Dims: dims, Cond: agg.MinSupport(2), Workers: 8, Cores: cores, Seed: 1}
-				var err error
-				switch algo {
-				case "PT":
-					_, err = core.PT(run)
-				case "BPP":
-					_, err = core.BPP(run)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkFigCores_PT(b *testing.B)  { benchCores(b, "PT") }
-func BenchmarkFigCores_BPP(b *testing.B) { benchCores(b, "BPP") }
-
 // BenchmarkServe measures the serving layer's regimes on the
 // weather-shaped dataset against the legacy full-leaf rescan it replaced.
 // The acceptance bar for the serving PR: ancestor/cache-served coarse

@@ -12,7 +12,6 @@
 //	cubebench -full            # the paper's full workload sizes (slow)
 //	cubebench -exp fig4.2      # one experiment
 //	cubebench -tuples 50000    # custom size
-//	cubebench -cores 4         # intra-worker pools (faster wall clock, same results)
 //	cubebench -json out.json   # machine-readable series + wall times
 //	cubebench -cpuprofile p.out -exp fig4.2   # profile one experiment
 package main
@@ -55,7 +54,6 @@ func main() {
 		tuples     = flag.Int("tuples", 20000, "CUBE data-set size before per-experiment scaling")
 		full       = flag.Bool("full", false, "use the paper's full sizes (176,631 CUBE / 1,000,000 POL); slow")
 		seed       = flag.Int64("seed", 2001, "workload seed")
-		cores      = flag.Int("cores", 1, "intra-worker execution-pool width (wall clock only; results are identical)")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		jsonPath   = flag.String("json", "", "write machine-readable results to this file ('-' = stdout)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
@@ -81,7 +79,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	base := exp.Config{Tuples: *tuples, Seed: *seed, Cores: *cores}
+	base := exp.Config{Tuples: *tuples, Seed: *seed}
 	if *full {
 		base.Tuples = 0 // defaults to the paper's sizes per experiment
 	}

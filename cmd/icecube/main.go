@@ -63,8 +63,7 @@ import (
 type options struct {
 	input, dims, algo, cuboid     string
 	waldir, policy, segdir, httpA string
-	synthetic, workers, cores     int
-	limit                         int
+	synthetic, workers, limit     int
 	seed, minsup, memlimit        int64
 	parallel, stats               bool
 }
@@ -114,7 +113,6 @@ func main() {
 		algo      = flag.String("algo", "", "algorithm: RP, BPP, ASL, PT, AHT (default: recipe recommendation)")
 		workers   = flag.Int("workers", 8, "number of simulated cluster nodes")
 		parallel  = flag.Bool("parallel", false, "run workers on real goroutines")
-		cores     = flag.Int("cores", 1, "intra-worker execution-pool width (wall clock only; results identical)")
 		cuboid    = flag.String("cuboid", "", "print this group-by's cells (comma-separated attributes; empty = summary only)")
 		limit     = flag.Int("limit", 20, "max cells to print")
 		stats     = flag.Bool("stats", false, "print per-worker simulated loads; with -waldir, dump cache metrics and the per-cuboid stats table after the serve run")
@@ -129,7 +127,7 @@ func main() {
 	opts := options{
 		input: *input, dims: *dims, algo: *algo, cuboid: *cuboid,
 		waldir: *waldir, policy: *policy, segdir: *segdir, httpA: *httpAddr,
-		synthetic: *synthetic, workers: *workers, cores: *cores, limit: *limit,
+		synthetic: *synthetic, workers: *workers, limit: *limit,
 		seed: *seed, minsup: *minsup, memlimit: *memlimit,
 		parallel: *parallel, stats: *stats,
 	}
@@ -202,7 +200,6 @@ func main() {
 		Algorithm:  algorithm,
 		Workers:    *workers,
 		Parallel:   *parallel,
-		Cores:      *cores,
 	})
 	if err != nil {
 		fatal(err)

@@ -55,11 +55,6 @@ type Query struct {
 	// deterministic virtual-time runner. Results are identical; virtual
 	// timing stays deterministic only without it.
 	Parallel bool
-	// Cores gives each simulated worker an intra-task execution pool of
-	// this many goroutines (two-level parallelism). Results, simulated
-	// timings and worker loads are identical for every value — only real
-	// wall clock improves. <= 1 runs task bodies serially.
-	Cores int
 	// Seed fixes skip-list coin flips (default 1).
 	Seed int64
 }
@@ -131,7 +126,6 @@ func Compute(ds *Dataset, q Query) (*Result, error) {
 		Cluster:  cost.BaselineCluster(q.Workers),
 		Sink:     set,
 		Parallel: q.Parallel,
-		Cores:    q.Cores,
 		Seed:     q.Seed,
 	}
 	var rep *core.Report

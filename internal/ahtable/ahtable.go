@@ -132,9 +132,6 @@ func (t *Table) copyKey(key []uint32) []uint32 {
 // Len returns the number of cells.
 func (t *Table) Len() int { return t.length }
 
-// NumBuckets returns the fixed bucket count.
-func (t *Table) NumBuckets() int { return len(t.heads) }
-
 // index computes the bucket of a key: naive MOD concatenates each
 // attribute's low bits; the mixed variant folds every element through a
 // multiplicative mix and masks to the same width.
@@ -241,15 +238,7 @@ func (t *Table) Get(key []uint32) (agg.State, bool) {
 // Scan visits every cell in unspecified (bucket) order; the callback must
 // not retain key.
 func (t *Table) Scan(fn func(key []uint32, st agg.State) bool) {
-	t.ScanRange(0, len(t.heads), fn)
-}
-
-// ScanRange visits the cells of buckets [lo, hi) in bucket order. Disjoint
-// ranges touch disjoint chains (a chain never leaves its bucket), so
-// concurrent ScanRange calls over a partition of the directory are safe and
-// together visit exactly the cells Scan visits, in the same per-range order.
-func (t *Table) ScanRange(lo, hi int, fn func(key []uint32, st agg.State) bool) {
-	for _, head := range t.heads[lo:hi] {
+	for _, head := range t.heads {
 		for e := head; e != 0; e = t.entries[e-1].next {
 			if !fn(t.entries[e-1].key, t.entries[e-1].state) {
 				return

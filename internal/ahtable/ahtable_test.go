@@ -150,9 +150,6 @@ func TestCollisionAccounting(t *testing.T) {
 	if tb.MaxChain() < 16 {
 		t.Fatalf("MaxChain = %d, expected long chains", tb.MaxChain())
 	}
-	if tb.NumBuckets() != 2 {
-		t.Fatalf("NumBuckets = %d", tb.NumBuckets())
-	}
 }
 
 // TestMergeState folds whole states.

@@ -12,11 +12,6 @@
 //   - RunParallel executes the same tasks on one goroutine per worker for
 //     genuine parallelism, still accounting virtual time for reporting.
 //
-//   - RunParallelCores (pool.go) keeps RunVirtual's deterministic rank-level
-//     dispatch but gives each worker an intra-task work-stealing pool of P
-//     goroutines — wall clock scales with cores while reports and cube
-//     output stay byte-identical to RunVirtual.
-//
 //   - RunChaos (chaos.go) is RunVirtual under a deterministic fault plan:
 //     workers die mid-task or straggle, the manager reassigns their work
 //     to survivors, and task output commits exactly once.
@@ -79,37 +74,6 @@ type Worker struct {
 	// stage buffers the current task's cell output until the runner
 	// commits it (see StageTo).
 	stage *Stage
-	// pool is the worker's intra-task execution pool (nil = serial task
-	// bodies). See pool.go.
-	pool *Pool
-}
-
-// AttachPool gives the worker an intra-task execution pool of the given
-// total width (no-op for cores <= 1 or when a pool is already attached).
-func (w *Worker) AttachPool(cores int) {
-	if cores > 1 && w.pool == nil {
-		w.pool = NewPool(cores)
-	}
-}
-
-// ClosePool stops and detaches the worker's pool, folding any undrained
-// counter shards into the worker first.
-func (w *Worker) ClosePool() {
-	if w.pool != nil {
-		w.pool.Drain(&w.Ctr)
-		w.pool.Close()
-		w.pool = nil
-	}
-}
-
-// Grip returns the root grip of the worker's pool — the handle the task's
-// own goroutine forks through — or nil when the worker has no pool (task
-// bodies run serially).
-func (w *Worker) Grip() *Grip {
-	if w.pool == nil {
-		return nil
-	}
-	return w.pool.grips[0]
 }
 
 // StageTo installs (once) and returns the worker's staging sink targeting
@@ -139,12 +103,11 @@ func (w *Worker) Sleep(seconds float64) { w.Clock += seconds }
 
 // Stage is a buffered CellSink: cells accumulate until the runner either
 // commits them to the target sink or discards them (task re-executed
-// elsewhere, task failed, worker died mid-task). Appends are mutex-guarded
-// so one task's pool goroutines may write concurrently; commit/discard
-// remain exactly-once because the runner invokes them once per task, after
-// every fork has joined.
+// elsewhere, task failed, worker died mid-task). A stage belongs to one
+// worker and is written only by the goroutine running that worker's task;
+// commit/discard are exactly-once because the runner invokes them once per
+// task.
 type Stage struct {
-	mu     sync.Mutex
 	target disk.CellSink
 	cells  []stagedCell
 	bytes  int64
@@ -164,26 +127,18 @@ type stagedCell struct {
 
 // WriteCell implements disk.CellSink: the cell is buffered, not yet final.
 func (s *Stage) WriteCell(m lattice.Mask, key []uint32, st agg.State) {
-	s.mu.Lock()
 	off := len(s.keys)
 	s.keys = append(s.keys, key...)
 	s.cells = append(s.cells, stagedCell{mask: m, key: s.keys[off : off+len(key) : off+len(key)], st: st})
 	s.bytes += disk.CellBytes(len(key))
-	s.mu.Unlock()
 }
 
 // Bytes returns the staged (uncommitted) output size, the quantity a task
 // memory budget is charged against.
-func (s *Stage) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
-}
+func (s *Stage) Bytes() int64 { return s.bytes }
 
 // Commit flushes the staged cells to the target sink and resets the stage.
 func (s *Stage) Commit() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.target != nil {
 		for _, c := range s.cells {
 			s.target.WriteCell(c.mask, c.key, c.st)
@@ -193,11 +148,7 @@ func (s *Stage) Commit() {
 }
 
 // Discard drops the staged cells without committing them.
-func (s *Stage) Discard() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reset()
-}
+func (s *Stage) Discard() { s.reset() }
 
 func (s *Stage) reset() {
 	s.cells = s.cells[:0]
@@ -241,14 +192,6 @@ func NewWorkers(cl cost.Cluster, n int, setup func(w *Worker)) []*Worker {
 func runTask(w *Worker, t *Task) (float64, error) {
 	snap := w.Ctr
 	err := t.Run(w)
-	if w.pool != nil {
-		// Fold the pool goroutines' counter shards in before the clock
-		// advance, so the task's virtual-time delta includes forked work.
-		// Every runner goes through here, which is what makes pooled
-		// execution report-identical under RunVirtual, RunParallel,
-		// RunParallelCores and RunChaos alike.
-		w.pool.Drain(&w.Ctr)
-	}
 	w.Tasks++
 	b := w.Advance(snap)
 	return b.Total(), err

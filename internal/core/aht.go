@@ -98,13 +98,10 @@ func (s *ahtScheduler) pick(st *ahtState) (lattice.Mask, string) {
 	return m, "scratch"
 }
 
-// ahtCompute executes one cuboid task. Table builds are sequential (hash
-// chains mutate shared state), but emission scans disjoint bucket ranges, so
-// that is where the execution pool forks; the manager's affinity decisions
-// are unaffected because tasks still build whole tables (see DESIGN.md).
+// ahtCompute executes one cuboid task: build (or collapse into) the
+// cuboid's hash table, then emit its qualifying cells.
 func ahtCompute(run Run, w *cluster.Worker, mask lattice.Mask) {
 	st := w.State.(*ahtState)
-	g := w.Grip()
 	pos := mask.Dims()
 
 	for _, held := range []*ahtHeld{st.prev, st.first} {
@@ -127,7 +124,7 @@ func ahtCompute(run Run, w *cluster.Worker, mask lattice.Mask) {
 			return true
 		})
 		w.Ctr.TuplesScanned += int64(held.table.Len())
-		ahtEmit(run, st, mask, table, g)
+		ahtEmit(run, st, mask, table)
 		st.prev = &ahtHeld{mask: mask, table: table}
 		return
 	}
@@ -142,7 +139,7 @@ func ahtCompute(run Run, w *cluster.Worker, mask lattice.Mask) {
 		table.Add(key, run.Rel.Measure(int(row)))
 	}
 	w.Ctr.TuplesScanned += int64(len(st.view))
-	ahtEmit(run, st, mask, table, g)
+	ahtEmit(run, st, mask, table)
 	held := &ahtHeld{mask: mask, table: table}
 	st.prev = held
 	if st.first == nil {
@@ -150,38 +147,13 @@ func ahtCompute(run Run, w *cluster.Worker, mask lattice.Mask) {
 	}
 }
 
-// ahtEmit writes a cuboid's qualifying cells in bucket order. With an
-// execution pool attached and a large enough table, disjoint bucket ranges
-// of the directory are forked as stealable units: scanning charges nothing,
-// and the ordered replay of each unit's cells through the worker's single
-// writer reproduces the serial bucket-order cell sequence exactly.
-func ahtEmit(run Run, st *ahtState, mask lattice.Mask, table *ahtable.Table, g *cluster.Grip) {
-	emit := func(out disk.CellSink) func(key []uint32, cs agg.State) bool {
-		return func(key []uint32, cs agg.State) bool {
-			if run.Cond.Holds(cs) {
-				out.WriteCell(mask, key, cs)
-			}
-			return true
+// ahtEmit writes a cuboid's qualifying cells in bucket order.
+func ahtEmit(run Run, st *ahtState, mask lattice.Mask, table *ahtable.Table) {
+	table.Scan(func(key []uint32, cs agg.State) bool {
+		if run.Cond.Holds(cs) {
+			st.out.WriteCell(mask, key, cs)
 		}
-	}
-	nb := table.NumBuckets()
-	if g == nil || table.Len() < bucForkCutoff || nb < 2 {
-		table.Scan(emit(st.out))
-		return
-	}
-	units := forkUnitFactor * g.Width()
-	if units > nb {
-		units = nb
-	}
-	per := (nb + units - 1) / units
-	units = (nb + per - 1) / per
-	g.Fork(units, st.out, func(u int, _ *cluster.Grip, uout disk.CellSink) {
-		lo := u * per
-		hi := lo + per
-		if hi > nb {
-			hi = nb
-		}
-		table.ScanRange(lo, hi, emit(uout))
+		return true
 	})
 }
 

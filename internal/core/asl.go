@@ -123,15 +123,9 @@ func (s *aslScheduler) pick(st *aslState) (lattice.Mask, string) {
 	return m, "scratch"
 }
 
-// aslCompute executes one cuboid task on worker w. ASL's cuboid builds are
-// inherently sequential list constructions, so the execution pool is wired
-// only into the scratch arena: the extended-affinity root sorts go through
-// the shared parallel sort kernels. Cuboid-level fan-out inside a worker
-// would change which lists the worker holds when the manager makes its next
-// affinity decision, diverging from the serial schedule — see DESIGN.md.
+// aslCompute executes one cuboid task on worker w.
 func aslCompute(run Run, w *cluster.Worker, mask lattice.Mask) {
 	st := w.State.(*aslState)
-	bindPool(w, st.scratch)
 	pos := mask.Dims()
 
 	if run.NoAffinity {

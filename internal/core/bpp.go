@@ -88,11 +88,10 @@ func BPP(run Run) (*Report, error) {
 						return nil
 					}
 					s := w.State.(*bppState)
-					g := bindPool(w, s.scratch)
 					w.Ctr.BytesRead += int64(len(chunk)) * bytesPerRow
 					view := append(s.scratch.Int32s(len(chunk)), chunk...)
 					rel.SortViewScratch(view, []int{dims[i]}, &w.Ctr, s.scratch)
-					RunSubtreeGrip(rel, view, dims, sub, cond, s.out, &w.Ctr, s.scratch, g)
+					RunSubtreeScratch(rel, view, dims, sub, cond, s.out, &w.Ctr, s.scratch)
 					s.scratch.PutInt32s(view)
 					return nil
 				},

@@ -2,7 +2,6 @@ package core
 
 import (
 	"icebergcube/internal/agg"
-	"icebergcube/internal/cluster"
 	"icebergcube/internal/cost"
 	"icebergcube/internal/disk"
 	"icebergcube/internal/lattice"
@@ -33,18 +32,7 @@ func RunSubtree(rel *relation.Relation, view []int32, dims []int, t *lattice.Sub
 // allowed) for pruned-view, child-view, position and key buffers, keeping
 // the breadth-first recursion allocation-free in steady state.
 func RunSubtreeScratch(rel *relation.Relation, view []int32, dims []int, t *lattice.Subtree, cond agg.Condition, out *disk.Writer, ctr *cost.Counters, s *relation.Scratch) {
-	RunSubtreeGrip(rel, view, dims, t, cond, out, ctr, s, nil)
-}
-
-// RunSubtreeGrip is RunSubtreeScratch with an optional execution-pool grip:
-// when g is non-nil, a node whose surviving view has at least bucForkCutoff
-// rows forks its child subtrees into stealable units on the worker's pool
-// (the children of a breadth-first node are independent dimension
-// branches). Cells, counters and accounting are identical to the serial
-// traversal for any pool width: each unit writes to an order-preserving
-// sink and charges a private counter shard.
-func RunSubtreeGrip(rel *relation.Relation, view []int32, dims []int, t *lattice.Subtree, cond agg.Condition, out *disk.Writer, ctr *cost.Counters, s *relation.Scratch, g *cluster.Grip) {
-	c := &bucCtx{rel: rel, dims: dims, cond: cond, out: out, ctr: ctr, scratch: s, grip: g}
+	c := &bucCtx{rel: rel, dims: dims, cond: cond, out: out, ctr: ctr, scratch: s}
 	rootPos := t.Root.Dims()
 	key := s.Uint32s(len(rootPos))[:len(rootPos)]
 	c.breadthNode(view, t.Root, rootPos, t, key)
@@ -112,60 +100,22 @@ func (c *bucCtx) breadthNode(view []int32, node lattice.Mask, nodePos []int, t *
 	if len(nodePos) > 0 {
 		maxPos = nodePos[len(nodePos)-1]
 	}
-	// The fork branch lives in its own method so its closure only forces
-	// pruned/nodePos to the heap when a pool is actually attached — inlined
-	// here, the captures would cost an allocation per node on the serial
-	// path too.
-	if c.grip != nil && len(pruned) >= bucForkCutoff &&
-		c.forkBreadthChildren(pruned, node, nodePos, t, maxPos) {
-		return
-	}
 	for k := maxPos + 1; k < len(c.dims); k++ {
 		child := node | 1<<uint(k)
 		if !t.Contains(child) && !branchIntersects(child, t) {
 			continue
 		}
-		c.breadthChild(pruned, node, nodePos, t, k)
+		// Copy the surviving view, extend the sort order by the child's
+		// dimension, recurse.
+		childView := append(c.scratch.Int32s(len(pruned)), pruned...)
+		c.sortWithinGroups(childView, nodePos, c.dims[k])
+		childPos := append(append(c.scratch.Ints(len(nodePos)+1), nodePos...), k)
+		childKey := c.scratch.Uint32s(len(childPos))[:len(childPos)]
+		c.breadthNode(childView, child, childPos, t, childKey)
+		c.scratch.PutUint32s(childKey[:0])
+		c.scratch.PutInts(childPos)
+		c.scratch.PutInt32s(childView)
 	}
-}
-
-// forkBreadthChildren forks a breadth-first node's child subtrees onto the
-// pool, reporting whether it did (false = fewer than two children; run the
-// serial loop). The child subtrees are independent — each copies the pruned
-// view and sorts its own dimension — and unit order = child order, so the
-// ordered replay reproduces the serial breadth-first cell sequence.
-func (c *bucCtx) forkBreadthChildren(pruned []int32, node lattice.Mask, nodePos []int, t *lattice.Subtree, maxPos int) bool {
-	ks := c.scratch.Ints(len(c.dims))
-	for k := maxPos + 1; k < len(c.dims); k++ {
-		child := node | 1<<uint(k)
-		if t.Contains(child) || branchIntersects(child, t) {
-			ks = append(ks, k)
-		}
-	}
-	if len(ks) <= 1 {
-		c.scratch.PutInts(ks)
-		return false
-	}
-	c.grip.Fork(len(ks), c.out, func(u int, ug *cluster.Grip, uout disk.CellSink) {
-		c.unitCtx(ug, uout).breadthChild(pruned, node, nodePos, t, ks[u])
-	})
-	c.scratch.PutInts(ks)
-	return true
-}
-
-// breadthChild descends into one child subtree of a breadth-first node:
-// copy the surviving view, extend the sort order by the child's dimension,
-// recurse. Both the serial loop and fork units execute this body.
-func (c *bucCtx) breadthChild(pruned []int32, node lattice.Mask, nodePos []int, t *lattice.Subtree, k int) {
-	child := node | 1<<uint(k)
-	childView := append(c.scratch.Int32s(len(pruned)), pruned...)
-	c.sortWithinGroups(childView, nodePos, c.dims[k])
-	childPos := append(append(c.scratch.Ints(len(nodePos)+1), nodePos...), k)
-	childKey := c.scratch.Uint32s(len(childPos))[:len(childPos)]
-	c.breadthNode(childView, child, childPos, t, childKey)
-	c.scratch.PutUint32s(childKey[:0])
-	c.scratch.PutInts(childPos)
-	c.scratch.PutInt32s(childView)
 }
 
 // branchIntersects reports whether any task node lies in the full BUC

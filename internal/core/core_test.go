@@ -97,7 +97,9 @@ func TestAlgorithmsMatchNaive(t *testing.T) {
 }
 
 // TestParallelRunnerMatchesVirtual checks the goroutine runner produces the
-// same cells as the deterministic virtual runner.
+// same cells as the deterministic virtual runner. For the static-queue
+// algorithms (RP, BPP) rank-level dispatch cannot differ between the two
+// runners, so their counter totals must be identical too.
 func TestParallelRunnerMatchesVirtual(t *testing.T) {
 	rel := testRel(800, 5, 7)
 	dims := allDims(rel)
@@ -105,16 +107,50 @@ func TestParallelRunnerMatchesVirtual(t *testing.T) {
 	for _, name := range algoNames {
 		t.Run(name, func(t *testing.T) {
 			got := results.NewSet()
-			runAlgo(t, name, Run{
+			run := Run{
 				Rel: rel, Dims: dims,
-				Cond:     agg.MinSupport(2),
-				Workers:  4,
-				Sink:     got,
-				Parallel: true,
-				Seed:     42,
-			})
+				Cond:    agg.MinSupport(2),
+				Workers: 4,
+				Seed:    42,
+			}
+			prun := run
+			prun.Parallel = true
+			prun.Sink = got
+			rep := runAlgo(t, name, prun)
 			if diff := want.Diff(got); diff != "" {
 				t.Fatalf("%s (parallel runner) differs from naive: %s", name, diff)
+			}
+			if name == "RP" || name == "BPP" {
+				if ref := runAlgo(t, name, run); rep.Totals() != ref.Totals() {
+					t.Fatalf("totals differ from virtual runner:\nparallel %+v\nvirtual  %+v", rep.Totals(), ref.Totals())
+				}
+			}
+		})
+	}
+}
+
+// TestParallelRunnerStress floods the goroutine-per-worker runner with many
+// small tasks on eight real rank goroutines for every algorithm — the -race
+// CI leg uses this to hammer the scheduler lock split (sched.Next under
+// schedMu only) and concurrent Stage appends.
+func TestParallelRunnerStress(t *testing.T) {
+	rel := testRel(2000, 6, 19)
+	dims := allDims(rel)
+	want := NaiveCube(rel, dims, agg.MinSupport(2))
+	for _, name := range algoNames {
+		t.Run(name, func(t *testing.T) {
+			got := results.NewSet()
+			runAlgo(t, name, Run{
+				Rel: rel, Dims: dims,
+				Cond:      agg.MinSupport(2),
+				Workers:   8,
+				TaskRatio: 8, // many small PT tasks
+				Parallel:  true,
+				Sink:      got,
+				Seed:      42,
+			})
+			if diff := want.Diff(got); diff != "" {
+				t.Fatalf("%s stressed output differs: %s", name, diff)
 			}
 		})
 	}

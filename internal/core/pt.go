@@ -88,9 +88,8 @@ func (s *ptScheduler) Next(w *cluster.Worker) *cluster.Task {
 func ptCompute(run Run, w *cluster.Worker, t *lattice.Subtree) {
 	st := w.State.(*ptState)
 	ensureReplica(w, &st.loaded, &st.view, run)
-	g := bindPool(w, st.scratch)
 	st.sortOrder = SortForRootScratch(run.Rel, st.view, run.Dims, st.sortOrder, t.Root, &w.Ctr, st.scratch)
-	RunSubtreeGrip(run.Rel, st.view, run.Dims, t, run.Cond, st.out, &w.Ctr, st.scratch, g)
+	RunSubtreeScratch(run.Rel, st.view, run.Dims, t, run.Cond, st.out, &w.Ctr, st.scratch)
 	st.prevRoot = t.Root
 	st.hasPrev = true
 }

@@ -49,8 +49,7 @@ func RP(run Run) (*Report, error) {
 			Run: func(w *cluster.Worker) error {
 				s := w.State.(*rpState)
 				ensureReplica(w, &s.loaded, &s.view, run)
-				g := bindPool(w, s.scratch)
-				BUCSubtreeGrip(rel, s.view, dims, p, cond, s.out, &w.Ctr, s.scratch, g)
+				BUCSubtreeScratch(rel, s.view, dims, p, cond, s.out, &w.Ctr, s.scratch)
 				return nil
 			},
 		})

@@ -41,11 +41,6 @@ type Run struct {
 	// Parallel selects the goroutine-per-worker runner instead of the
 	// deterministic virtual-time runner.
 	Parallel bool
-	// Cores is the intra-worker execution-pool width: each worker's task
-	// bodies fork across this many goroutines (two-level parallelism).
-	// <= 1 runs task bodies serially. Reports and cube output are
-	// byte-identical for every Cores value; only real wall clock changes.
-	Cores int
 	// Seed feeds the skip lists' level coins and any sampling.
 	Seed int64
 	// TaskRatio is PT's tasks-per-worker division stop parameter; the
@@ -105,9 +100,6 @@ func (r *Run) normalize() error {
 	if r.TaskRatio <= 0 {
 		r.TaskRatio = 32
 	}
-	if r.Cores <= 0 {
-		r.Cores = 1
-	}
 	return nil
 }
 
@@ -132,17 +124,6 @@ func (r *Report) Loads() []float64 { return cluster.Loads(r.Workers) }
 // Totals sums all workers' counters.
 func (r *Report) Totals() cost.Counters { return cluster.TotalCounters(r.Workers) }
 
-// IOSeconds returns the summed simulated disk time across workers — the
-// quantity Fig 3.6 compares between RP (depth-first writing) and BPP
-// (breadth-first writing).
-func (r *Report) IOSeconds() float64 {
-	total := 0.0
-	for _, w := range r.Workers {
-		total += w.Machine.Time(w.Ctr).Disk
-	}
-	return total
-}
-
 // WriteIOSeconds returns the summed simulated disk time spent *writing the
 // cuboids* (output bytes plus stream-switch seeks) — exactly the quantity
 // Fig 3.6 plots, excluding data-set reads.
@@ -155,13 +136,8 @@ func (r *Report) WriteIOSeconds() float64 {
 	return total
 }
 
-// run drives the scheduler with the configured runner. Pools attach before
-// and release after whichever runner executes, so Cores composes with the
-// virtual, parallel, and chaos runners alike (Cores>1 without Parallel or
-// Chaos is exactly cluster.RunParallelCores).
+// run drives the scheduler with the configured runner.
 func (r *Run) run(workers []*cluster.Worker, sched cluster.Scheduler) (*cluster.ChaosReport, []cluster.TaskFailure) {
-	release := cluster.AttachPools(workers, r.Cores)
-	defer release()
 	if r.Chaos != nil {
 		return cluster.RunChaos(workers, sched, *r.Chaos)
 	}
@@ -204,19 +180,4 @@ func writeAll(rel *relation.Relation, view []int32, cond agg.Condition, out *dis
 // the data set.
 func chargeLoad(w *cluster.Worker, rel *relation.Relation) {
 	w.Ctr.BytesRead += rel.SizeBytes()
-}
-
-// bindPool connects the worker's execution pool (if any) to the task's
-// scratch arena — enabling the parallel sort/partition paths — and returns
-// the grip the kernels fork through (nil = serial task body). Task bodies
-// call this every execution because pools may attach or detach between
-// runs of the same worker set.
-func bindPool(w *cluster.Worker, s *relation.Scratch) *cluster.Grip {
-	g := w.Grip()
-	if g == nil {
-		s.SetForker(nil)
-		return nil
-	}
-	s.SetForker(g)
-	return g
 }

@@ -50,17 +50,6 @@ func (c *Counters) Add(o Counters) {
 	c.Messages += o.Messages
 }
 
-// Merge folds a per-goroutine shard into c and clears the shard. Every
-// counter is a plain int64 total, so summing shards in any order yields the
-// same result as charging one counter serially — this is what lets the
-// intra-worker execution pool (cluster.Pool) account work on private shards
-// and still produce virtual-time reports byte-identical to the serial
-// runner.
-func (c *Counters) Merge(from *Counters) {
-	c.Add(*from)
-	*from = Counters{}
-}
-
 // Sub returns c - o, used to attribute a task's delta when workers share a
 // counter across tasks.
 func (c Counters) Sub(o Counters) Counters {

@@ -3,11 +3,9 @@
 // parameter, runs the algorithms, and returns the series the paper plots.
 // cmd/cubebench renders them; bench_test.go runs them under testing.B; the
 // experiment tests assert the paper's qualitative findings (who wins,
-// where the crossovers are). Beside the paper's figures there is one
-// more entry, "cores", the host wall-clock speedup of intra-worker
-// pools. The serving stack built beyond the paper (cache, commits, WAL,
-// cold tier) is not measured here: the end-to-end benchmark
-// (BENCHMARK.json) times it through the socket.
+// where the crossovers are). The serving stack built beyond the paper
+// (cache, commits, WAL, cold tier) is not measured here: the end-to-end
+// benchmark (BENCHMARK.json) times it through the socket.
 package exp
 
 import (
@@ -36,10 +34,6 @@ type Config struct {
 	Dims int
 	// Seed fixes the synthetic data (default 2001).
 	Seed int64
-	// Cores is the intra-worker execution-pool width (default 1: serial
-	// task bodies). Virtual-time results are identical for every value;
-	// only real wall clock changes — the "cores" experiment measures it.
-	Cores int
 }
 
 func (c Config) withDefaults() Config {
@@ -148,7 +142,6 @@ func baselineRun(c Config, rel *relation.Relation, dims []int) core.Run {
 		Cond:    agg.MinSupport(c.MinSup),
 		Workers: c.Workers,
 		Cluster: cost.BaselineCluster(c.Workers),
-		Cores:   c.Cores,
 		Seed:    c.Seed,
 	}
 }

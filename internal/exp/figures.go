@@ -288,7 +288,6 @@ func Fig5_3(c Config) (*Table, error) {
 				Workers:      n,
 				Cluster:      cost.Homogeneous(cl.name, cl.m, n),
 				BufferTuples: 8000,
-				Cores:        c.Cores,
 				Seed:         c.Seed,
 			})
 			if err != nil {
@@ -323,7 +322,6 @@ func Fig5_4(c Config) (*Table, error) {
 			Workers:      8,
 			Cluster:      cost.Homogeneous("PII266/Myrinet", cost.PII266Myrinet(), 8),
 			BufferTuples: buf,
-			Cores:        c.Cores,
 			Seed:         c.Seed,
 		})
 		if err != nil {

@@ -50,15 +50,6 @@ func Experiments() []Experiment {
 			scale: func(c Config) Config { c.Tuples *= 10; return c }},
 		{ID: "fig5.4", Title: "POL buffer-size sweep (Fig 5.4)", Run: Fig5_4,
 			scale: func(c Config) Config { c.Tuples *= 10; return c }},
-		{ID: "cores", Title: "intra-worker cores wall-clock speedup", Run: Cores,
-			// Real-time measurement wants enough rows for the kernels to
-			// fork; don't shrink below the bench scale.
-			scale: func(c Config) Config {
-				if c.Tuples < 8000 {
-					c.Tuples = 8000
-				}
-				return c
-			}},
 	}
 }
 

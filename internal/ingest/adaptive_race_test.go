@@ -61,7 +61,7 @@ func TestCommitRacesBackgroundFills(t *testing.T) {
 	}
 	addRows(300)
 	c := buildCube(width, keys, meas, cards, 1<<20)
-	bg := serve.NewBackground(nil)
+	bg := serve.NewBackground()
 	defer bg.Close()
 	c.SetServePolicy(serve.PolicyOptions{Policy: serve.PolicyAdaptive, Seed: 13, ReplanEvery: 4}, bg)
 

@@ -31,14 +31,6 @@ import (
 	"icebergcube/internal/skiplist"
 )
 
-// polSplitCutoff is the smallest block the per-step owner-split scan forks
-// across the worker's execution pool; polSplitSegment bounds how finely a
-// block is segmented so each unit amortizes its fork overhead.
-const (
-	polSplitCutoff  = 4096
-	polSplitSegment = 1024
-)
-
 // Query describes one online iceberg group-by.
 type Query struct {
 	// Rel is the input relation; Dims the GROUP BY attributes (indices
@@ -54,11 +46,6 @@ type Query struct {
 	// BufferTuples is the per-processor block size per step (the paper's
 	// experiments use 8000, §5.4).
 	BufferTuples int
-	// Cores is the intra-worker execution-pool width: each processor's
-	// per-step owner-split scan forks across this many goroutines
-	// (two-level parallelism, as in core.Run). <= 1 runs serially; the
-	// answer and all accounting are identical for every value.
-	Cores int
 	// SampleTuples sizes the boundary-estimation sample (default 1024).
 	SampleTuples int
 	// Seed drives skip-list coin flips and sampling.
@@ -149,8 +136,6 @@ func Run(q Query) (*Result, error) {
 	parts := rel.BlockPartition(n)
 	workers := make([]*polWorker, n)
 	clWorkers := cluster.NewWorkers(q.Cluster, n, nil)
-	release := cluster.AttachPools(clWorkers, q.Cores)
-	defer release()
 	for i := range workers {
 		workers[i] = &polWorker{
 			w:     clWorkers[i],
@@ -175,40 +160,6 @@ func Run(q Query) (*Result, error) {
 	keyOf := func(row int32, dst []uint32) {
 		for i, col := range keyCols {
 			dst[i] = col[row]
-		}
-	}
-
-	// splitBlock appends each of block's rows to its owner chunk. Owner
-	// computation is pure (keyOf + ownerOf charge nothing), so with an
-	// execution pool attached and a large enough block the owners are
-	// computed in parallel segments; the appends stay serial in block
-	// order, so the chunk contents are identical to the serial scan.
-	splitBlock := func(pw *polWorker, i int, block []int32, chunks [][][]int32) {
-		if g := pw.w.Grip(); g != nil && len(block) >= polSplitCutoff {
-			nseg := g.Width()
-			if max := len(block) / polSplitSegment; nseg > max {
-				nseg = max
-			}
-			if nseg >= 2 {
-				owners := make([]int32, len(block))
-				g.ForkJoin(nseg, func(si int) {
-					lo, hi := si*len(block)/nseg, (si+1)*len(block)/nseg
-					k := make([]uint32, len(q.Dims))
-					for x := lo; x < hi; x++ {
-						keyOf(block[x], k)
-						owners[x] = int32(ownerOf(k, boundaries))
-					}
-				})
-				for x, row := range block {
-					chunks[owners[x]][i] = append(chunks[owners[x]][i], row)
-				}
-				return
-			}
-		}
-		for _, row := range block {
-			keyOf(row, key)
-			owner := ownerOf(key, boundaries)
-			chunks[owner][i] = append(chunks[owner][i], row)
 		}
 	}
 
@@ -238,7 +189,11 @@ func Run(q Query) (*Result, error) {
 			snap := pw.w.Ctr
 			pw.w.Ctr.BytesRead += int64(len(block)) * bytesPerRow
 			pw.w.Ctr.TuplesScanned += int64(len(block))
-			splitBlock(pw, i, block, chunks)
+			for _, row := range block {
+				keyOf(row, key)
+				owner := ownerOf(key, boundaries)
+				chunks[owner][i] = append(chunks[owner][i], row)
+			}
 			pw.w.Advance(snap)
 		}
 		if !anyData {

@@ -166,14 +166,11 @@ type WorkerVariant struct {
 	Parallel  bool
 	Seed      int64
 	TaskRatio int
-	// Cores is the intra-worker execution-pool width (0 keeps the run's
-	// value; two-level parallelism must never change the cube).
-	Cores int
 }
 
 // CheckWorkerInvariance verifies the cube is independent of scheduling:
-// every variant (worker count, parallel/virtual runner, intra-worker pool
-// width, seed, task ratio) must produce exactly the reference cells.
+// every variant (worker count, parallel/virtual runner, seed, task ratio)
+// must produce exactly the reference cells.
 func CheckWorkerInvariance(a Algo, run core.Run, variants []WorkerVariant) string {
 	want, err := RunSet(a, run)
 	if err != nil {
@@ -188,9 +185,6 @@ func CheckWorkerInvariance(a Algo, run core.Run, variants []WorkerVariant) strin
 		}
 		if v.TaskRatio != 0 {
 			r.TaskRatio = v.TaskRatio
-		}
-		if v.Cores != 0 {
-			r.Cores = v.Cores
 		}
 		r.Cluster.Machines = nil // re-derive for the new worker count
 		got, err := RunSet(a, r)

@@ -28,23 +28,6 @@ type Scratch struct {
 	ints   [][]int
 	int32s [][]int32
 	u32s   [][]uint32
-
-	// forker, when set, enables the parallel sort/partition paths for
-	// views above parSortCutoff (see par.go). The ownership rule is
-	// unchanged: the Scratch still belongs to exactly one goroutine; the
-	// forker's units are pure closures over caller-owned buffers and never
-	// touch another goroutine's arena.
-	forker Forker
-}
-
-// SetForker installs (or clears, with nil) the fork-join executor the sort
-// kernels use for large views. Callers must pass nil rather than a typed
-// nil pointer.
-func (s *Scratch) SetForker(f Forker) {
-	if s == nil {
-		return
-	}
-	s.forker = f
 }
 
 // NewScratch returns an empty arena; buffers grow on demand and are

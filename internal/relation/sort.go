@@ -60,21 +60,12 @@ func (r *Relation) sortRun(idx []int32, dims []int, ctr CompareCounter, s *Scrat
 // returns the equal-value run boundaries (including 0 and len(idx)); the
 // returned slice comes from the scratch pool — release it with PutInts.
 func (r *Relation) sortDim(idx []int32, d int, ctr CompareCounter, s *Scratch, needBounds bool) []int {
-	// The kernel *choice* below must not depend on whether a parallel path
-	// exists (it determines the comparison charge); within a chosen kernel
-	// the parallel variant produces identical output and charges (par.go).
-	nseg := s.parSegments(len(idx))
 	if r.cards[d] <= 4*len(idx) && r.cards[d] <= 1<<20 {
-		if nseg >= 2 && nseg*r.cards[d] <= 4*len(idx) {
-			return r.countingSortPar(idx, d, ctr, s, needBounds, nseg)
-		}
 		return r.countingSort(idx, d, ctr, s, needBounds)
 	}
 	col := r.cols[d]
 	if len(idx) <= insertionThreshold {
 		insertionSortByCol(idx, col, ctr)
-	} else if nseg >= 2 {
-		radixSortByColPar(idx, col, uint32(r.cards[d]-1), ctr, s, nseg)
 	} else {
 		radixSortByCol(idx, col, uint32(r.cards[d]-1), ctr, s)
 	}

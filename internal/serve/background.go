@@ -6,15 +6,6 @@ import (
 	"icebergcube/internal/lattice"
 )
 
-// Runner fans n independent work units across real cores. cluster.Pool
-// satisfies it (Pool.RunUnits), so background materializations ride the
-// same work-stealing pool as cube computation instead of spawning their
-// own goroutine herd. A nil Runner runs units serially on the executor's
-// own goroutine.
-type Runner interface {
-	RunUnits(n int, unit func(i int))
-}
-
 // fillReq is one background materialization request: a plan winner and
 // the retained-benefit score it admits with.
 type fillReq struct {
@@ -23,8 +14,8 @@ type fillReq struct {
 }
 
 // Background is the asynchronous executor behind the adaptive policy: it
-// runs re-plans and materialization fills off the query path, one dequeue
-// at a time, fanning a batch of fills across the Runner. One executor can
+// runs re-plans and materialization fills off the query path, one job at
+// a time on its own goroutine. One executor can
 // serve the whole chain of snapshot versions — commit handoffs re-target
 // it at the successor server, and jobs for retired servers are dropped on
 // dequeue (Server.fill and Replan both check retirement).
@@ -33,8 +24,6 @@ type fillReq struct {
 // server's singleflight, so a query that wants a cuboid mid-fill simply
 // coalesces onto the fill's result.
 type Background struct {
-	runner Runner
-
 	mu      sync.Mutex
 	cond    *sync.Cond
 	queue   []bgJob
@@ -51,10 +40,10 @@ type bgJob struct {
 	fills  []fillReq
 }
 
-// NewBackground starts an executor over the given Runner (nil runs fills
-// serially). Close it when the serving stack shuts down.
-func NewBackground(r Runner) *Background {
-	b := &Background{runner: r}
+// NewBackground starts an executor. Close it when the serving stack shuts
+// down.
+func NewBackground() *Background {
+	b := &Background{}
 	b.cond = sync.NewCond(&b.mu)
 	b.wg.Add(1)
 	go b.loop()
@@ -124,14 +113,7 @@ func (b *Background) run(job bgJob) {
 		job.srv.Replan()
 		return
 	}
-	fills := job.fills
-	if b.runner != nil && len(fills) > 1 {
-		b.runner.RunUnits(len(fills), func(i int) {
-			job.srv.fill(fills[i].mask, fills[i].score)
-		})
-		return
-	}
-	for _, f := range fills {
+	for _, f := range job.fills {
 		job.srv.fill(f.mask, f.score)
 	}
 }

@@ -242,7 +242,7 @@ func TestColdBackgroundFillsRaceResetAndBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bg := NewBackground(nil)
+	bg := NewBackground()
 	defer bg.Close()
 	s.SetPolicy(PolicyOptions{Policy: PolicyAdaptive, Seed: 3, ReplanEvery: 8}, bg)
 

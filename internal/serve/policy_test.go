@@ -262,7 +262,7 @@ func TestBackgroundFillsMaterializeWinners(t *testing.T) {
 	cards := []int{6, 40, 5}
 	leaf, _ := buildLeaf(cards, 2000, 4)
 	srv := NewServer(leaf, cards, 1<<20)
-	bg := NewBackground(nil)
+	bg := NewBackground()
 	defer bg.Close()
 	srv.SetPolicy(PolicyOptions{Policy: PolicyAdaptive, Seed: 3, ReplanEvery: 8}, bg)
 

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"sync"
 
-	"icebergcube/internal/cluster"
 	"icebergcube/internal/ingest"
 	"icebergcube/internal/relation"
 	"icebergcube/internal/serve"
@@ -46,12 +45,10 @@ type Materialized struct {
 	extMu sync.RWMutex
 	ext   []extDim
 
-	// bgExec and bgPool back the adaptive policy's background
-	// materializer when SetCachePolicy asked for one; both are released
-	// by Close. Guarded by polMu.
+	// bgExec is the adaptive policy's background materializer when
+	// SetCachePolicy asked for one; Close releases it. Guarded by polMu.
 	polMu  sync.Mutex
 	bgExec *serve.Background
-	bgPool *cluster.Pool
 }
 
 // extDim is one dimension's dictionary extension for appended values.
@@ -199,12 +196,12 @@ type CachePolicyConfig struct {
 	// ReplanEvery re-plans after this many queries (≤ 0 = the serving
 	// default, 64). Commits always trigger a re-plan regardless.
 	ReplanEvery int
-	// BackgroundCores > 0 attaches a background materializer fanning
-	// fills across that many cores, so planned cuboids are computed off
-	// the query path. 0 keeps re-plans and fills synchronous: they run
+	// Background attaches a background materializer: re-plans and fills
+	// run one after another on its own goroutine, so planned cuboids are
+	// computed off the query path. false keeps them synchronous: they run
 	// inline on the query that triggers them — fully deterministic, the
-	// mode the adaptive-vs-LRU oracle and experiments use.
-	BackgroundCores int
+	// mode the adaptive-vs-LRU oracle uses.
+	Background bool
 }
 
 // SetCachePolicy switches the serving cache's admission policy for the
@@ -226,9 +223,8 @@ func (m *Materialized) SetCachePolicy(cfg CachePolicyConfig) error {
 	defer m.polMu.Unlock()
 	m.releaseBackgroundLocked()
 	var bg *serve.Background
-	if p == serve.PolicyAdaptive && cfg.BackgroundCores > 0 {
-		m.bgPool = cluster.NewPool(cfg.BackgroundCores)
-		m.bgExec = serve.NewBackground(m.bgPool)
+	if p == serve.PolicyAdaptive && cfg.Background {
+		m.bgExec = serve.NewBackground()
 		bg = m.bgExec
 	}
 	m.cube.SetServePolicy(serve.PolicyOptions{
@@ -251,16 +247,12 @@ func (m *Materialized) WaitBackground() {
 	}
 }
 
-// releaseBackgroundLocked stops the background executor and its pool.
-// Caller holds polMu.
+// releaseBackgroundLocked stops the background executor. Caller holds
+// polMu.
 func (m *Materialized) releaseBackgroundLocked() {
 	if m.bgExec != nil {
 		m.bgExec.Close()
 		m.bgExec = nil
-	}
-	if m.bgPool != nil {
-		m.bgPool.Close()
-		m.bgPool = nil
 	}
 }
 
