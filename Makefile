@@ -10,6 +10,8 @@ FUZZ_TARGETS_WAL := FuzzWALReplay
 FUZZ_TARGETS_SEGMENT := FuzzSegmentReader
 # HTTP edge fuzz targets (seeds in the test: f.Add).
 FUZZ_TARGETS_HTTPSERVE := FuzzWireEncoding
+# Result-sink fuzz targets (seed corpus under internal/results/testdata/fuzz/).
+FUZZ_TARGETS_RESULTS := FuzzResultSet
 
 .PHONY: build vet test short race chaos fuzz corpus bench-smoke bench-e2e bench-gate loc deadcode leftovers
 
@@ -26,7 +28,9 @@ build:
 vet:
 	go vet ./...
 
+# The format gate: every tracked Go file is gofmt-clean.
 test: vet build
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	go test ./...
 
 # Skips the experiment-harness figure replays (several minutes).
@@ -51,9 +55,10 @@ chaos:
 
 # Run each fuzz target for $(FUZZTIME) (CI's fuzz-smoke job runs this).
 # Checked-in corpus entries under internal/oracle/testdata/fuzz/,
-# testdata/fuzz/, internal/wal/testdata/fuzz/ and
-# internal/segment/testdata/fuzz/, and FuzzWireEncoding's f.Add seeds,
-# also replay as regression tests in `make test`.
+# testdata/fuzz/, internal/wal/testdata/fuzz/,
+# internal/segment/testdata/fuzz/ and internal/results/testdata/fuzz/,
+# and FuzzWireEncoding's f.Add seeds, also replay as regression tests in
+# `make test`.
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		echo "== $$t =="; \
@@ -75,6 +80,10 @@ fuzz:
 		echo "== $$t =="; \
 		go test ./internal/httpserve -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done
+	@for t in $(FUZZ_TARGETS_RESULTS); do \
+		echo "== $$t =="; \
+		go test ./internal/results -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) || exit 1; \
+	done
 
 # Regenerate the checked-in seed corpora: the oracle corpus from
 # internal/oracle/seeds.go, the WAL replay corpus from fuzzSeedLogs, the
@@ -92,7 +101,7 @@ corpus:
 # every new benchmark must be frozen into bench/baseline.json in its own PR.
 # BenchmarkEncodeQuery (internal/httpserve) is the hit path's wire rung.
 bench-smoke:
-	go test -run xxx -bench 'BenchmarkFig|BenchmarkSec5_1|BenchmarkServe|BenchmarkCommit|BenchmarkWAL|BenchmarkRecover|BenchmarkSegment|BenchmarkSpill|BenchmarkEncodeQuery' -benchmem -benchtime 1x -timeout 30m . ./internal/httpserve | \
+	go test -run xxx -bench 'BenchmarkFig|BenchmarkSec5_1|BenchmarkFacadeCompute|BenchmarkServe|BenchmarkCommit|BenchmarkWAL|BenchmarkRecover|BenchmarkSegment|BenchmarkSpill|BenchmarkEncodeQuery' -benchmem -benchtime 1x -timeout 30m . ./internal/httpserve | \
 		go run ./cmd/benchguard -strict -out BENCH_$$(date +%F).json -baseline bench/baseline.json
 
 # One run of the repo's end-to-end benchmark (BENCHMARK.json): builds into

@@ -146,6 +146,7 @@ func Compute(ds *Dataset, q Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	set.Seal() // a Result keeps no append slack and no cross-rank duplicates
 	attrs := make([]string, len(dims))
 	for i, d := range dims {
 		attrs[i] = ds.rel.Name(d)

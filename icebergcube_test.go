@@ -244,6 +244,37 @@ func TestComputeOnlineFacade(t *testing.T) {
 	}
 }
 
+// TestComputeOnlineCellOrder: the online answer lists its cells in the
+// same order as Result.Cuboid — ascending code tuples — also for codes of
+// 256 and above, which a byte-wise order of little-endian keys puts
+// before the small ones.
+func TestComputeOnlineCellOrder(t *testing.T) {
+	ds := SyntheticWeather(20000, 2001)
+	res, err := ComputeOnline(ds, OnlineQuery{Dims: []string{"station"}, MinSupport: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := Compute(ds, Query{Dims: []string{"station"}, MinSupport: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := batch.Cuboid("station")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) <= 256 {
+		t.Fatalf("only %d stations: no code reaches 256", len(want))
+	}
+	if len(res.Cells) != len(want) {
+		t.Fatalf("online answer has %d cells, batch cube has %d", len(res.Cells), len(want))
+	}
+	for i, c := range res.Cells {
+		if c.Values[0] != want[i].Values[0] || c.Count != want[i].Count {
+			t.Fatalf("cell %d: online %v, batch %v", i, c, want[i])
+		}
+	}
+}
+
 // TestRecipe encodes Fig 4.7's rows.
 func TestRecipe(t *testing.T) {
 	cases := []struct {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -109,8 +110,9 @@ func TestBPPChunkDisjointness(t *testing.T) {
 				if !m.Has(i) {
 					t.Fatalf("subtree T_%d emitted cuboid %b without its root attribute", i, m)
 				}
-				for k := range part.Cuboid(m) {
-					id := string(rune(m)) + k
+				keys, _ := part.CuboidColumns(m)
+				for c := 0; c < len(keys); c += m.Count() {
+					id := fmt.Sprint(m, keys[c:c+m.Count()])
 					seen[id]++
 					if seen[id] > 1 {
 						t.Fatalf("cell emitted by two chunks of attribute %d", i)

@@ -10,7 +10,9 @@ import (
 // NaiveCube computes the iceberg cube by brute force — one hash-map
 // aggregation pass per cuboid — and returns the collected cells. It is the
 // correctness oracle every algorithm in the suite is verified against; it
-// makes no attempt to be fast.
+// makes no attempt to be fast. It groups through its own string-keyed
+// maps, so the reference shares no sort or merge kernel with the sink it
+// fills.
 func NaiveCube(rel *relation.Relation, dims []int, cond agg.Condition) *results.Set {
 	out := results.NewSet()
 
@@ -48,7 +50,10 @@ func NaiveCube(rel *relation.Relation, dims []int, cond agg.Condition) *results.
 		}
 		for k, st := range groups {
 			if cond.Holds(*st) {
-				out.WriteCell(mask, results.DecodeKey(k), *st)
+				for i := range key {
+					key[i] = uint32(k[4*i]) | uint32(k[4*i+1])<<8 | uint32(k[4*i+2])<<16 | uint32(k[4*i+3])<<24
+				}
+				out.WriteCell(mask, key, *st)
 			}
 		}
 	}

@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"icebergcube/internal/agg"
+	"icebergcube/internal/relation"
 	"icebergcube/internal/serve"
 	"icebergcube/internal/wal"
 )
@@ -155,7 +156,7 @@ type measCol struct {
 // codes below cards[c]) by cell: one radix group-by, whose stable order
 // keeps each cell's measures in row order, cut by the leaf's counts.
 func newMeasCol(leaf *serve.Cuboid, keys []uint32, meas []float64, cards []int) measCol {
-	perm := serve.SortRows(keys, leaf.Width, len(meas), cards, nil)
+	perm := relation.SortRows(keys, leaf.Width, len(meas), cards, nil)
 	col := measCol{off: make([]int32, 1, leaf.Rows()+1), meas: make([]float64, len(meas))}
 	for i, r := range perm {
 		col.meas[i] = meas[r]
@@ -756,7 +757,7 @@ func (c *Cube) applyBatch(leaf *serve.Cuboid, cards []int) (delta *serve.Delta, 
 	if len(c.pending) == 0 {
 		return &serve.Delta{Width: c.width}, c.col, nil // the new version shares the leaf, so the column too
 	}
-	perm := serve.SortRows(c.pendKeys, c.width, len(c.pending), cards, nil)
+	perm := relation.SortRows(c.pendKeys, c.width, len(c.pending), cards, nil)
 	n := leaf.Rows()
 	delta = &serve.Delta{Width: c.width}
 	col = measCol{off: make([]int32, 1, n+len(perm)+1), meas: make([]float64, 0, len(c.col.meas)+len(perm))}

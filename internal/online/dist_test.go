@@ -9,7 +9,6 @@ import (
 	"icebergcube/internal/agg"
 	"icebergcube/internal/core"
 	"icebergcube/internal/mpi"
-	"icebergcube/internal/results"
 )
 
 // buildTCPWorldForTest wires an n-rank loopback TCP world.
@@ -83,7 +82,7 @@ func TestDistributedPOLMatchesNaive(t *testing.T) {
 	rel := onlineRel(4000, 77)
 	dims := []int{0, 1, 2}
 	want := core.NaiveCube(rel, dims, agg.MinSupport(3))
-	wantCuboid := want.Cuboid(1<<0 | 1<<1 | 1<<2)
+	wantKeys, wantCuboid := want.CuboidColumns(1<<0 | 1<<1 | 1<<2)
 	for _, n := range []int{1, 2, 4} {
 		for _, buf := range []int{128, 1000, 100000} {
 			res := runDistributed(t, n, Query{
@@ -92,14 +91,15 @@ func TestDistributedPOLMatchesNaive(t *testing.T) {
 				BufferTuples: buf,
 				Seed:         5,
 			})
-			got := res.Cells.Cuboid(res.Mask)
+			_, got := res.Cells.CuboidColumns(res.Mask)
 			if len(got) != len(wantCuboid) {
 				t.Fatalf("n=%d buf=%d: %d cells, want %d", n, buf, len(got), len(wantCuboid))
 			}
-			for k, st := range wantCuboid {
-				gst, ok := got[k]
+			for i, st := range wantCuboid {
+				k := wantKeys[i*len(dims) : (i+1)*len(dims)]
+				gst, ok := res.Cells.Get(res.Mask, k)
 				if !ok || gst.Count != st.Count || gst.Sum != st.Sum {
-					t.Fatalf("n=%d buf=%d: cell %v got %+v want %+v", n, buf, results.DecodeKey(k), gst, st)
+					t.Fatalf("n=%d buf=%d: cell %v got %+v want %+v", n, buf, k, gst, st)
 				}
 			}
 		}
@@ -111,7 +111,7 @@ func TestDistributedPOLMatchesNaive(t *testing.T) {
 func TestDistributedPOLOverTCP(t *testing.T) {
 	rel := onlineRel(2000, 9)
 	dims := []int{0, 1}
-	want := core.NaiveCube(rel, dims, agg.MinSupport(2)).Cuboid(1<<0 | 1<<1)
+	_, want := core.NaiveCube(rel, dims, agg.MinSupport(2)).CuboidColumns(1<<0 | 1<<1)
 
 	comms, err := buildTCPWorldForTest(3)
 	if err != nil {
@@ -144,7 +144,7 @@ func TestDistributedPOLOverTCP(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	got := root.Cells.Cuboid(root.Mask)
+	_, got := root.Cells.CuboidColumns(root.Mask)
 	if len(got) != len(want) {
 		t.Fatalf("TCP run: %d cells, want %d", len(got), len(want))
 	}

@@ -25,7 +25,7 @@ func TestPOLMatchesNaive(t *testing.T) {
 	rel := onlineRel(3000, 21)
 	dims := []int{0, 1, 2}
 	want := core.NaiveCube(rel, dims, agg.MinSupport(2))
-	wantCuboid := want.Cuboid(1<<0 | 1<<1 | 1<<2)
+	wantKeys, wantCuboid := want.CuboidColumns(1<<0 | 1<<1 | 1<<2)
 	for _, workers := range []int{1, 2, 4, 7} {
 		for _, buf := range []int{64, 500, 10000} {
 			res, err := Run(Query{
@@ -38,12 +38,13 @@ func TestPOLMatchesNaive(t *testing.T) {
 			if err != nil {
 				t.Fatalf("POL(workers=%d buf=%d): %v", workers, buf, err)
 			}
-			got := res.Cells.Cuboid(res.Mask)
+			_, got := res.Cells.CuboidColumns(res.Mask)
 			if len(got) != len(wantCuboid) {
 				t.Fatalf("POL(workers=%d buf=%d): %d cells, want %d", workers, buf, len(got), len(wantCuboid))
 			}
-			for k, st := range wantCuboid {
-				gst, ok := got[k]
+			for i, st := range wantCuboid {
+				k := wantKeys[i*len(dims) : (i+1)*len(dims)]
+				gst, ok := res.Cells.Get(res.Mask, k)
 				if !ok {
 					t.Fatalf("POL(workers=%d buf=%d): missing cell %v", workers, buf, k)
 				}
@@ -200,7 +201,7 @@ func TestPOLNetworkSensitivity(t *testing.T) {
 func TestPOLHeterogeneousCluster(t *testing.T) {
 	rel := onlineRel(6000, 29)
 	dims := []int{0, 1, 2}
-	want := core.NaiveCube(rel, dims, agg.MinSupport(2)).Cuboid(1<<0 | 1<<1 | 1<<2)
+	_, want := core.NaiveCube(rel, dims, agg.MinSupport(2)).CuboidColumns(1<<0 | 1<<1 | 1<<2)
 
 	mixed := cost.Cluster{Name: "mixed", Machines: []cost.Machine{
 		cost.PIII500(), cost.PII266(), cost.PIII500(), cost.PII266(),
@@ -213,7 +214,7 @@ func TestPOLHeterogeneousCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := res.Cells.Cuboid(res.Mask)
+	_, got := res.Cells.CuboidColumns(res.Mask)
 	if len(got) != len(want) {
 		t.Fatalf("heterogeneous run: %d cells, want %d", len(got), len(want))
 	}

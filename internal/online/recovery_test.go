@@ -8,7 +8,6 @@ import (
 	"icebergcube/internal/agg"
 	"icebergcube/internal/core"
 	"icebergcube/internal/mpi"
-	"icebergcube/internal/results"
 )
 
 // TestRunWithRecoveryRetriesAfterWorldFault: attempt 0's world loses a rank
@@ -18,7 +17,7 @@ import (
 func TestRunWithRecoveryRetriesAfterWorldFault(t *testing.T) {
 	rel := onlineRel(3000, 21)
 	dims := []int{0, 1, 2}
-	want := core.NaiveCube(rel, dims, agg.MinSupport(2)).Cuboid(1<<0 | 1<<1 | 1<<2)
+	wantKeys, want := core.NaiveCube(rel, dims, agg.MinSupport(2)).CuboidColumns(1<<0 | 1<<1 | 1<<2)
 
 	spawns := 0
 	spawn := func(attempt int) ([]mpi.Comm, error) {
@@ -49,14 +48,15 @@ func TestRunWithRecoveryRetriesAfterWorldFault(t *testing.T) {
 	if spawns != 2 {
 		t.Fatalf("spawn called %d times, want 2", spawns)
 	}
-	got := res.Cells.Cuboid(res.Mask)
+	_, got := res.Cells.CuboidColumns(res.Mask)
 	if len(got) != len(want) {
 		t.Fatalf("recovered run: %d cells, want %d", len(got), len(want))
 	}
-	for k, st := range want {
-		gst, ok := got[k]
+	for i, st := range want {
+		k := wantKeys[i*len(dims) : (i+1)*len(dims)]
+		gst, ok := res.Cells.Get(res.Mask, k)
 		if !ok || gst.Count != st.Count || gst.Sum != st.Sum {
-			t.Fatalf("cell %v got %+v want %+v", results.DecodeKey(k), gst, st)
+			t.Fatalf("cell %v got %+v want %+v", k, gst, st)
 		}
 	}
 }

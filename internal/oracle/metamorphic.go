@@ -79,8 +79,9 @@ func remapPermutation(s *results.Set, perm []int) *results.Set {
 	}
 	for _, m := range s.Masks() {
 		pos := m.Dims()
-		for k, st := range s.Cuboid(m) {
-			key := results.DecodeKey(k)
+		keys, states := s.CuboidColumns(m)
+		for c, st := range states {
+			key := keys[c*len(pos) : (c+1)*len(pos)]
 			pairs := make([]pv, len(pos))
 			var mask lattice.Mask
 			for i, p := range pos {
@@ -151,10 +152,12 @@ func duplicateRows(rel *relation.Relation, k int) *relation.Relation {
 func scaleStates(s *results.Set, factor int64) *results.Set {
 	out := results.NewSet()
 	for _, m := range s.Masks() {
-		for k, st := range s.Cuboid(m) {
+		keys, states := s.CuboidColumns(m)
+		w := m.Count()
+		for i, st := range states {
 			st.Count *= factor
 			st.Sum *= float64(factor)
-			out.WriteCell(m, results.DecodeKey(k), st)
+			out.WriteCell(m, keys[i*w:(i+1)*w], st)
 		}
 	}
 	return out
@@ -206,12 +209,12 @@ func CheckWorkerInvariance(a Algo, run core.Run, variants []WorkerVariant) strin
 func CheckRollupConsistency(set *results.Set, ndims int) string {
 	for _, m := range lattice.All(ndims) {
 		pos := m.Dims()
-		cells := set.Cuboid(m)
+		keys, states := set.CuboidColumns(m)
 		for _, drop := range pos {
 			parent := m &^ (1 << uint(drop))
 			want := results.NewSet()
-			for k, st := range cells {
-				key := results.DecodeKey(k)
+			for c, st := range states {
+				key := keys[c*len(pos) : (c+1)*len(pos)]
 				pk := make([]uint32, 0, len(key)-1)
 				for i, p := range pos {
 					if p != drop {
@@ -221,8 +224,9 @@ func CheckRollupConsistency(set *results.Set, ndims int) string {
 				want.WriteCell(parent, pk, st)
 			}
 			actual := results.NewSet()
-			for k, st := range set.Cuboid(parent) {
-				actual.WriteCell(parent, results.DecodeKey(k), st)
+			pKeys, pStates := set.CuboidColumns(parent)
+			for c, st := range pStates {
+				actual.WriteCell(parent, pKeys[c*(len(pos)-1):(c+1)*(len(pos)-1)], st)
 			}
 			if diff := want.Diff(actual); diff != "" {
 				return fmt.Sprintf("cuboid %b rolled up to parent %b mismatches: %s", m, parent, diff)

@@ -14,11 +14,11 @@ import (
 func TestSortKernelsByteIdenticalToReference(t *testing.T) {
 	f := func(seed int64, pick uint8) bool {
 		cards := [][]int{
-			{4, 3, 5},          // counting sort at every level
-			{100000, 7},        // radix on dim 0 (cardinality ≫ 4·n)
-			{2, 2, 2, 17},      // deep recursion, tiny runs → insertion sort
-			{50000, 2, 60000},  // radix / counting / radix mix
-			{9, 120000, 3},     // counting → radix → counting
+			{4, 3, 5},         // counting sort at every level
+			{100000, 7},       // radix on dim 0 (cardinality ≫ 4·n)
+			{2, 2, 2, 17},     // deep recursion, tiny runs → insertion sort
+			{50000, 2, 60000}, // radix / counting / radix mix
+			{9, 120000, 3},    // counting → radix → counting
 		}[int(pick)%5]
 		r := randomRel(seed, 1+int(uint16(seed))%700, cards)
 		dims := make([]int, r.NumDims())

@@ -1,76 +1,171 @@
 // Package results collects emitted cube cells into a comparable in-memory
 // set. Tests use it to verify every parallel algorithm against the naive
-// reference; the BPP and POL paths use it to merge partial cuboids computed
-// on different processors.
+// reference; the root package's Compute and ComputeOutOfCore keep their
+// cubes in it, and the BPP and POL paths use it to merge partial cuboids
+// computed on different processors.
+//
+// Each cuboid is one pair of columns, like the serving layer's: row-major
+// dictionary codes (width = the mask's dimension count) and one aggregate
+// state per row. Writes append to the cuboid's pending columns in commit
+// order. The first read of a cuboid seals it: one stable radix sort of the
+// pending tuples, then one pass that merges equal neighbours — so equal
+// tuples merge in commit order — into exactly-sized sealed columns, which
+// are never mutated afterwards and are handed to readers without a copy.
 package results
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
 	"icebergcube/internal/agg"
 	"icebergcube/internal/lattice"
+	"icebergcube/internal/relation"
 )
 
 // Set is a concurrency-safe collection of cells keyed by (cuboid, values).
 // It satisfies disk.CellSink structurally.
 type Set struct {
-	mu    sync.Mutex
-	cells map[lattice.Mask]map[string]agg.State
+	mu      sync.Mutex
+	cuboids map[lattice.Mask]*cuboid
+}
+
+// cuboid holds one mask's cells: the sealed columns (distinct tuples in
+// ascending order, immutable once set) and the cells written since the
+// last seal, in commit order.
+type cuboid struct {
+	width      int
+	keys       []uint32
+	states     []agg.State
+	pendKeys   []uint32
+	pendStates []agg.State
 }
 
 // NewSet returns an empty cell set.
 func NewSet() *Set {
-	return &Set{cells: make(map[lattice.Mask]map[string]agg.State)}
+	return &Set{cuboids: make(map[lattice.Mask]*cuboid)}
 }
 
-func encodeKey(key []uint32) string {
-	buf := make([]byte, 4*len(key))
-	for i, v := range key {
-		binary.LittleEndian.PutUint32(buf[4*i:], v)
-	}
-	return string(buf)
-}
-
-// DecodeKey reverses encodeKey.
-func DecodeKey(s string) []uint32 {
-	key := make([]uint32, len(s)/4)
-	for i := range key {
-		key[i] = binary.LittleEndian.Uint32([]byte(s[4*i : 4*i+4]))
-	}
-	return key
-}
-
-// WriteCell records a cell, merging aggregate states if the cell was
-// already present (partial cuboids from different processors are disjoint
-// in tuples, so Merge is exact).
+// WriteCell records a cell. A cell written twice merges its aggregate
+// states (partial cuboids from different processors are disjoint in
+// tuples, so Merge is exact). Every cell of a cuboid must carry as many
+// codes as its first one (m.Count(), from every algorithm); WriteCell
+// panics otherwise.
 func (s *Set) WriteCell(m lattice.Mask, key []uint32, st agg.State) {
-	k := encodeKey(key)
+	if err := s.write(m, key, st); err != nil {
+		panic(err)
+	}
+}
+
+// write appends one cell to m's pending columns, or reports a key whose
+// width differs from the cuboid's.
+func (s *Set) write(m lattice.Mask, key []uint32, st agg.State) error {
 	s.mu.Lock()
-	byKey := s.cells[m]
-	if byKey == nil {
-		byKey = make(map[string]agg.State)
-		s.cells[m] = byKey
+	defer s.mu.Unlock()
+	c := s.cuboids[m]
+	if c == nil {
+		c = &cuboid{width: len(key)}
+		s.cuboids[m] = c
 	}
-	if prev, ok := byKey[k]; ok {
-		prev.Merge(st)
-		byKey[k] = prev
-	} else {
-		byKey[k] = st
+	if len(key) != c.width {
+		return fmt.Errorf("results: cuboid %b holds %d codes per cell, got %d", m, c.width, len(key))
 	}
-	s.mu.Unlock()
+	if len(c.pendStates) == cap(c.pendStates) {
+		// Double: append's own growth falls to 1.25× for large slices,
+		// which would copy each pending cell about four times.
+		c.pendKeys = slices.Grow(c.pendKeys, len(c.pendKeys)+c.width)
+		c.pendStates = slices.Grow(c.pendStates, len(c.pendStates)+1)
+	}
+	c.pendKeys = append(c.pendKeys, key...)
+	c.pendStates = append(c.pendStates, st)
+	return nil
+}
+
+// seal folds the pending cells into the sealed columns. sc supplies the
+// sort scratch (nil allocates). Called with the set's lock held.
+func (c *cuboid) seal(sc *relation.Scratch) {
+	if len(c.pendStates) == 0 {
+		return
+	}
+	w := c.width
+	keys, states := c.pendKeys, c.pendStates
+	if len(c.states) > 0 {
+		// A write after a seal. The sealed cells were committed first, so
+		// they go first; the sealed slices themselves stay untouched.
+		keys = append(slices.Clip(c.keys), keys...)
+		states = append(slices.Clip(c.states), states...)
+	}
+	c.keys, c.states = sortMerge(keys, states, w, sc)
+	c.pendKeys, c.pendStates = nil, nil
+}
+
+// sortMerge returns the distinct tuples among the rows of keys (w codes
+// each, one state per row in states) in ascending order, in exactly-sized
+// columns; each tuple's state merges its rows' states in row order, since
+// the radix sort is stable.
+func sortMerge(keys []uint32, states []agg.State, w int, sc *relation.Scratch) ([]uint32, []agg.State) {
+	cards := sc.Ints(w)[:w]
+	clear(cards)
+	for i := 0; i < len(keys); i += w {
+		for j, v := range keys[i : i+w] {
+			if int(v) >= cards[j] {
+				cards[j] = int(v) + 1
+			}
+		}
+	}
+	perm := relation.SortRows(keys, w, len(states), cards, sc)
+	sc.PutInts(cards)
+	row := func(i int) []uint32 { r := int(perm[i]); return keys[r*w : (r+1)*w] }
+	newCell := func(i int) bool { return i == 0 || !slices.Equal(row(i-1), row(i)) }
+
+	// Count the distinct tuples first so the columns are exact.
+	cells := 0
+	for i := range perm {
+		if newCell(i) {
+			cells++
+		}
+	}
+	outKeys := make([]uint32, 0, cells*w)
+	outStates := make([]agg.State, 0, cells)
+	for i, r := range perm {
+		if newCell(i) {
+			outKeys = append(outKeys, row(i)...)
+			outStates = append(outStates, states[r])
+			continue
+		}
+		outStates[len(outStates)-1].Merge(states[r])
+	}
+	sc.PutInt32s(perm)
+	return outKeys, outStates
+}
+
+// Seal sorts and merges every cuboid's pending cells, so that the set
+// retains only its exactly-sized sealed columns.
+func (s *Set) Seal() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sealAll()
+}
+
+// sealAll seals every cuboid over one sort scratch. Called with the lock
+// held.
+func (s *Set) sealAll() {
+	sc := relation.NewScratch()
+	for _, c := range s.cuboids {
+		c.seal(sc)
+	}
 }
 
 // NumCells returns the total number of cells across all cuboids.
 func (s *Set) NumCells() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.sealAll()
 	n := 0
-	for _, byKey := range s.cells {
-		n += len(byKey)
+	for _, c := range s.cuboids {
+		n += len(c.states)
 	}
 	return n
 }
@@ -79,100 +174,65 @@ func (s *Set) NumCells() int {
 func (s *Set) NumCuboids() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.cells)
+	return len(s.cuboids)
 }
 
-// Cuboid returns a copy of the cells of cuboid m keyed by encoded value
-// tuple.
-func (s *Set) Cuboid(m lattice.Mask) map[string]agg.State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]agg.State, len(s.cells[m]))
-	for k, st := range s.cells[m] {
-		out[k] = st
-	}
-	return out
-}
-
-// CompareTuples orders two equal-length code tuples lexicographically,
-// returning -1, 0 or 1. This natural tuple order is the canonical cell
-// order of the public API and of the serving layer's columnar cuboids.
-func CompareTuples(a, b []uint32) int {
-	for i := range a {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
-}
-
-// CuboidColumns extracts cuboid m in columnar row-major form: a flat
+// CuboidColumns returns cuboid m in columnar row-major form: a flat
 // []uint32 of width m.Count() per row plus one aggregate state per row,
-// sorted in natural tuple order. The serving layer builds its resident
-// leaf cuboid from this; tests use it as a stable iteration order.
+// one row per distinct tuple, sorted in natural tuple order. The slices
+// are the set's own sealed columns, shared with every other reader: the
+// caller must not modify them. Later writes never do.
 func (s *Set) CuboidColumns(m lattice.Mask) ([]uint32, []agg.State) {
-	s.mu.Lock()
-	byKey := s.cells[m]
-	width := m.Count()
-	rows := len(byKey)
-	keys := make([]uint32, 0, rows*width)
-	states := make([]agg.State, 0, rows)
-	for k, st := range byKey {
-		keys = append(keys, DecodeKey(k)...)
-		states = append(states, st)
-	}
-	s.mu.Unlock()
-	if width == 0 || rows < 2 {
-		return keys, states
-	}
-	perm := make([]int, rows)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(a, b int) bool {
-		return CompareTuples(keys[perm[a]*width:perm[a]*width+width], keys[perm[b]*width:perm[b]*width+width]) < 0
-	})
-	outKeys := make([]uint32, 0, rows*width)
-	outStates := make([]agg.State, 0, rows)
-	for _, p := range perm {
-		outKeys = append(outKeys, keys[p*width:p*width+width]...)
-		outStates = append(outStates, states[p])
-	}
-	return outKeys, outStates
+	keys, states, _ := s.columns(m)
+	return keys, states
 }
 
-// Each invokes fn for every cell in the set (order unspecified). fn must
-// not call back into this set.
-func (s *Set) Each(fn func(m lattice.Mask, key []uint32, st agg.State)) {
+// columns seals cuboid m and returns its columns and width.
+func (s *Set) columns(m lattice.Mask) ([]uint32, []agg.State, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for m, byKey := range s.cells {
-		for k, st := range byKey {
-			fn(m, DecodeKey(k), st)
+	c := s.cuboids[m]
+	if c == nil {
+		return nil, nil, 0
+	}
+	c.seal(nil)
+	return c.keys, c.states, c.width
+}
+
+// Each invokes fn for every cell in the set, cuboids in ascending mask
+// order and each cuboid's cells in tuple order. key aliases the set's
+// storage: fn must not modify it.
+func (s *Set) Each(fn func(m lattice.Mask, key []uint32, st agg.State)) {
+	for _, m := range s.Masks() {
+		keys, states, w := s.columns(m)
+		for i, st := range states {
+			fn(m, keys[i*w:(i+1)*w], st)
 		}
 	}
 }
 
 // Get returns the state of one cell.
 func (s *Set) Get(m lattice.Mask, key []uint32) (agg.State, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.cells[m][encodeKey(key)]
-	return st, ok
+	keys, states, w := s.columns(m)
+	if w != len(key) {
+		return agg.State{}, false
+	}
+	i := sort.Search(len(states), func(i int) bool { return slices.Compare(keys[i*w:(i+1)*w], key) >= 0 })
+	if i == len(states) || !slices.Equal(keys[i*w:(i+1)*w], key) {
+		return agg.State{}, false
+	}
+	return states[i], true
 }
 
 // Masks returns the cuboids present, in ascending mask order.
 func (s *Set) Masks() []lattice.Mask {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	masks := make([]lattice.Mask, 0, len(s.cells))
-	for m := range s.cells {
+	masks := make([]lattice.Mask, 0, len(s.cuboids))
+	for m := range s.cuboids {
 		masks = append(masks, m)
 	}
-	sort.Slice(masks, func(a, b int) bool { return masks[a] < masks[b] })
+	slices.Sort(masks)
 	return masks
 }
 
@@ -181,15 +241,11 @@ func (s *Set) Masks() []lattice.Mask {
 // (§5.1).
 func (s *Set) Filter(cond agg.Condition) *Set {
 	out := NewSet()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for m, byKey := range s.cells {
-		for k, st := range byKey {
-			if cond.Holds(st) {
-				out.WriteCell(m, DecodeKey(k), st)
-			}
+	s.Each(func(m lattice.Mask, key []uint32, st agg.State) {
+		if cond.Holds(st) {
+			out.WriteCell(m, key, st)
 		}
-	}
+	})
 	return out
 }
 
@@ -212,38 +268,25 @@ func statesEqual(a, b agg.State) bool {
 // first few discrepancies, or "" if the sets are identical. Tests verify
 // algorithms with it.
 func (s *Set) Diff(o *Set) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o.mu.Lock()
-	defer o.mu.Unlock()
-
 	var msgs []string
 	note := func(format string, args ...any) {
 		if len(msgs) < 10 {
 			msgs = append(msgs, fmt.Sprintf(format, args...))
 		}
 	}
-	for m, byKey := range s.cells {
-		other := o.cells[m]
-		for k, st := range byKey {
-			ost, ok := other[k]
-			if !ok {
-				note("cuboid %b: cell %v missing from other", m, DecodeKey(k))
-				continue
-			}
-			if !statesEqual(st, ost) {
-				note("cuboid %b: cell %v state %+v != %+v", m, DecodeKey(k), st, ost)
-			}
+	s.Each(func(m lattice.Mask, key []uint32, st agg.State) {
+		ost, ok := o.Get(m, key)
+		if !ok {
+			note("cuboid %b: cell %v missing from other", m, key)
+		} else if !statesEqual(st, ost) {
+			note("cuboid %b: cell %v state %+v != %+v", m, key, st, ost)
 		}
-	}
-	for m, byKey := range o.cells {
-		mine := s.cells[m]
-		for k := range byKey {
-			if _, ok := mine[k]; !ok {
-				note("cuboid %b: cell %v only in other", m, DecodeKey(k))
-			}
+	})
+	o.Each(func(m lattice.Mask, key []uint32, _ agg.State) {
+		if _, ok := s.Get(m, key); !ok {
+			note("cuboid %b: cell %v only in other", m, key)
 		}
-	}
+	})
 	if len(msgs) == 0 {
 		return ""
 	}

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"icebergcube/internal/agg"
 	"icebergcube/internal/lattice"
@@ -16,25 +15,6 @@ func st(vals ...float64) agg.State {
 		s.Add(v)
 	}
 	return s
-}
-
-// TestKeyRoundTrip: encode/decode identity on arbitrary keys.
-func TestKeyRoundTrip(t *testing.T) {
-	f := func(key []uint32) bool {
-		got := DecodeKey(encodeKey(key))
-		if len(got) != len(key) {
-			return false
-		}
-		for i := range key {
-			if got[i] != key[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestMergeOnCollision: duplicate writes merge their aggregate states —
@@ -103,7 +83,8 @@ func TestMasksSorted(t *testing.T) {
 	}
 }
 
-// TestConcurrentWrites: the set must be safe under the parallel runner.
+// TestConcurrentWrites: the set must be safe under the parallel runner,
+// also when reads seal cuboids that other goroutines are still writing.
 func TestConcurrentWrites(t *testing.T) {
 	s := NewSet()
 	var wg sync.WaitGroup
@@ -113,6 +94,9 @@ func TestConcurrentWrites(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				s.WriteCell(lattice.Mask(i%4), []uint32{uint32(i % 50)}, st(1))
+				if i%64 == 0 {
+					s.CuboidColumns(lattice.Mask(g % 4)) // seal while others write
+				}
 			}
 		}(g)
 	}
@@ -123,7 +107,8 @@ func TestConcurrentWrites(t *testing.T) {
 	}
 	total := int64(0)
 	for _, m := range s.Masks() {
-		for _, cs := range s.Cuboid(m) {
+		_, states := s.CuboidColumns(m)
+		for _, cs := range states {
 			total += cs.Count
 		}
 	}

@@ -14,33 +14,21 @@ import (
 //
 //	[mask u32][keyLen u32][key u32...][count u64][sum f64][min f64][max f64]
 
-// Encode serializes every cell of the set.
+// Encode serializes every cell of the set, cuboids in ascending mask
+// order and each cuboid's cells in tuple order.
 func (s *Set) Encode() []byte {
 	var buf []byte
-	u32 := func(v uint32) {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		buf = append(buf, b[:]...)
-	}
-	u64 := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		buf = append(buf, b[:]...)
-	}
-	for _, mask := range s.Masks() {
-		for k, st := range s.Cuboid(mask) {
-			key := DecodeKey(k)
-			u32(uint32(mask))
-			u32(uint32(len(key)))
-			for _, v := range key {
-				u32(v)
-			}
-			u64(uint64(st.Count))
-			u64(math.Float64bits(st.Sum))
-			u64(math.Float64bits(st.Min))
-			u64(math.Float64bits(st.Max))
+	s.Each(func(m lattice.Mask, key []uint32, st agg.State) {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(m))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
+		for _, v := range key {
+			buf = binary.LittleEndian.AppendUint32(buf, v)
 		}
-	}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(st.Count))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.Sum))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.Min))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.Max))
+	})
 	return buf
 }
 
@@ -64,6 +52,7 @@ func (s *Set) DecodeInto(buf []byte) error {
 		off += 8
 		return v, nil
 	}
+	keyBuf := make([]uint32, lattice.MaxDims)
 	for off < len(buf) {
 		mask, err := u32()
 		if err != nil {
@@ -76,7 +65,7 @@ func (s *Set) DecodeInto(buf []byte) error {
 		if klen > uint32(lattice.MaxDims) {
 			return fmt.Errorf("results: cell key length %d exceeds MaxDims", klen)
 		}
-		key := make([]uint32, klen)
+		key := keyBuf[:klen]
 		for i := range key {
 			if key[i], err = u32(); err != nil {
 				return err
@@ -98,12 +87,15 @@ func (s *Set) DecodeInto(buf []byte) error {
 		if err != nil {
 			return err
 		}
-		s.WriteCell(lattice.Mask(mask), key, agg.State{
+		err = s.write(lattice.Mask(mask), key, agg.State{
 			Count: int64(count),
 			Sum:   math.Float64frombits(sum),
 			Min:   math.Float64frombits(min),
 			Max:   math.Float64frombits(max),
 		})
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -86,12 +86,12 @@ func fuzzSeedScripts() [][]byte {
 		return b
 	}
 	var seeds [][]byte
-	seeds = append(seeds, nil)                      // pristine open
-	seeds = append(seeds, op(0, 0, 40, 0x01))       // flip a bit in the MANIFEST frame
-	seeds = append(seeds, op(0, 1, 200, 0x80))      // flip a bit in a block payload
-	seeds = append(seeds, op(1, 1, 10, 0))          // torn segment tail
-	seeds = append(seeds, op(1, 0, 4, 0))           // truncated manifest
-	seeds = append(seeds, op(2, 2, 0, 0xff))        // overwrite a byte
+	seeds = append(seeds, nil)                                       // pristine open
+	seeds = append(seeds, op(0, 0, 40, 0x01))                        // flip a bit in the MANIFEST frame
+	seeds = append(seeds, op(0, 1, 200, 0x80))                       // flip a bit in a block payload
+	seeds = append(seeds, op(1, 1, 10, 0))                           // torn segment tail
+	seeds = append(seeds, op(1, 0, 4, 0))                            // truncated manifest
+	seeds = append(seeds, op(2, 2, 0, 0xff))                         // overwrite a byte
 	seeds = append(seeds, script(op(0, 1, 64, 2), op(1, 2, 100, 0))) // compound
 	garbage := append(op(3, 1, 0, 0), []byte("not a segment at all")...)
 	seeds = append(seeds, garbage)

@@ -54,20 +54,6 @@ func (c *Cuboid) SizeBytes() int64 {
 	return cuboidOverheadBytes + 4*int64(len(c.Keys)) + stateBytes*int64(len(c.States))
 }
 
-// colBytes returns how many radix passes (low-order bytes) are needed to
-// order codes below card.
-func colBytes(card int) int {
-	switch {
-	case card <= 1<<8:
-		return 1
-	case card <= 1<<16:
-		return 2
-	case card <= 1<<24:
-		return 3
-	}
-	return 4
-}
-
 // aggregateFrom computes the cuboid for mask by aggregating src, a
 // resident ancestor (mask ⊆ src.Mask). cols gives, for each attribute of
 // mask in ascending order, its column index within src's rows; cards the
@@ -95,7 +81,7 @@ func aggregateFrom(src *Cuboid, mask lattice.Mask, cols []int, cards []int, sc *
 		return src
 	}
 
-	perm := sortRows(src.Keys, src.Width, n, cols, cards, sc)
+	perm := relation.SortRowsBy(src.Keys, src.Width, n, cols, cards, sc)
 
 	// Merge runs of equal projected tuples into output cells.
 	outKeys := make([]uint32, 0, 4*width)
@@ -125,46 +111,6 @@ func sameProjected(prev, row []uint32, cols []int) bool {
 	return true
 }
 
-// sortRows orders the n rows of keys (stride codes per row) by the tuple
-// of columns cols: a stable LSD radix, least-significant column first,
-// one counting pass per significant byte of cards[c]. It returns the
-// permutation, taken from sc — the caller hands it back with PutInt32s.
-// Steady state performs zero allocations: every buffer comes from the
-// scratch arena.
-func sortRows(keys []uint32, stride, n int, cols, cards []int, sc *relation.Scratch) []int32 {
-	perm := sc.Int32s(n)[:n]
-	tmp := sc.Int32s(n)[:n]
-	counts := sc.Int32s(256)[:256]
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	for c := len(cols) - 1; n > 0 && c >= 0; c-- {
-		// Indexing a column-offset slice with an unsigned shift keeps the
-		// scatter loop's state in registers; it is memory-bound, and a
-		// spill measured 1.5× slower.
-		col := keys[cols[c]:]
-		for shift := uint(0); shift < 8*uint(colBytes(cards[c])); shift += 8 {
-			clear(counts)
-			for _, r := range perm {
-				counts[byte(col[int(r)*stride]>>shift)]++
-			}
-			var sum int32
-			for b := range counts {
-				counts[b], sum = sum, sum+counts[b]
-			}
-			for _, r := range perm {
-				b := byte(col[int(r)*stride] >> shift)
-				tmp[counts[b]] = r
-				counts[b]++
-			}
-			perm, tmp = tmp, perm
-		}
-	}
-	sc.PutInt32s(counts)
-	sc.PutInt32s(tmp)
-	return perm
-}
-
 // LeafFromRows groups a row multiset into its full-width cuboid: keys
 // holds len(meas)×width codes row-major, column c's codes below cards[c],
 // and meas one measure per row. The result carries the full mask of
@@ -174,25 +120,9 @@ func LeafFromRows(width int, keys []uint32, meas []float64, cards []int) *Cuboid
 	return leafFromRows(width, keys, meas, cards, nil)
 }
 
-// SortRows returns the radix group-by order of n full-width rows (keys
-// holds n×width codes row-major, column c's codes below cards[c]): rows
-// in ascending tuple order, and rows with equal tuples adjacent in input
-// order, because the sort is stable. It is the one row sort behind the
-// leaf, the write path's measure column and its commit grouping. The
-// permutation comes from sc (nil allocates); hand it back with PutInt32s.
-func SortRows(keys []uint32, width, n int, cards []int, sc *relation.Scratch) []int32 {
-	cols := sc.Ints(width)[:width]
-	for i := range cols {
-		cols[i] = i
-	}
-	perm := sortRows(keys, width, n, cols, cards, sc)
-	sc.PutInts(cols)
-	return perm
-}
-
 // leafFromRows is LeafFromRows over the sort scratch sc (nil allocates).
 func leafFromRows(width int, keys []uint32, meas []float64, cards []int, sc *relation.Scratch) *Cuboid {
-	perm := SortRows(keys, width, len(meas), cards, sc)
+	perm := relation.SortRows(keys, width, len(meas), cards, sc)
 	row := func(i int) []uint32 { r := int(perm[i]); return keys[r*width : (r+1)*width] }
 	newCell := func(i int) bool { return i == 0 || !slices.Equal(row(i-1), row(i)) }
 

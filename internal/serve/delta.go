@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"icebergcube/internal/agg"
+	"icebergcube/internal/relation"
 )
 
 // Delta is one commit's net change to a cuboid, in the cuboid's own key
@@ -45,7 +46,7 @@ func (d *Delta) Project(cols, cards []int) *Delta {
 	for j, c := range cols {
 		qCards[j] = cards[c]
 	}
-	perm := sortRows(d.Keys, d.Width, d.Rows(), cols, qCards, nil)
+	perm := relation.SortRowsBy(d.Keys, d.Width, d.Rows(), cols, qCards, nil)
 	out := &Delta{Width: width}
 	for _, r := range perm {
 		row := d.Row(int(r))

@@ -2,11 +2,11 @@ package serve
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"icebergcube/internal/agg"
 	"icebergcube/internal/lattice"
-	"icebergcube/internal/results"
 )
 
 // stateOf aggregates measures into one state.
@@ -164,7 +164,7 @@ func TestFoldDeltaEquivalentToRebuild(t *testing.T) {
 	}
 	// Sorted output.
 	for i := 1; i < out.Rows(); i++ {
-		if results.CompareTuples(out.Row(i-1), out.Row(i)) >= 0 {
+		if slices.Compare(out.Row(i-1), out.Row(i)) >= 0 {
 			t.Fatalf("output unsorted at %d: %v ≥ %v", i, out.Row(i-1), out.Row(i))
 		}
 	}

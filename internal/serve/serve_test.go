@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -63,7 +64,7 @@ func checkCuboid(t *testing.T, leaf *Cuboid, q lattice.Mask, cub *Cuboid) {
 	prev := []uint32(nil)
 	for i := 0; i < cub.Rows(); i++ {
 		row := cub.Row(i)
-		if prev != nil && results.CompareTuples(prev, row) >= 0 {
+		if prev != nil && slices.Compare(prev, row) >= 0 {
 			t.Fatalf("mask %b: rows out of order at %d", q, i)
 		}
 		prev = append(prev[:0], row...)

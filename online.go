@@ -2,11 +2,9 @@ package icebergcube
 
 import (
 	"fmt"
-	"sort"
 
 	"icebergcube/internal/agg"
 	"icebergcube/internal/online"
-	"icebergcube/internal/results"
 )
 
 // OnlineQuery describes one online iceberg group-by (Chapter 5): a single
@@ -46,7 +44,9 @@ type OnlineProgress struct {
 
 // OnlineResult is the completed exact answer.
 type OnlineResult struct {
-	// Cells are the qualifying cells of the group-by, sorted by values.
+	// Cells are the qualifying cells of the group-by, in ascending order
+	// of their dictionary-code tuples — the canonical order Result.Cuboid
+	// returns.
 	Cells []Cell
 	// Makespan is the simulated completion time; Steps the number of
 	// synchronized steps taken.
@@ -97,16 +97,11 @@ func ComputeOnline(ds *Dataset, q OnlineQuery) (*OnlineResult, error) {
 	for i, d := range dims {
 		attrs[i] = ds.rel.Name(d)
 	}
-	raw := res.Cells.Cuboid(res.Mask)
-	keys := make([]string, 0, len(raw))
-	for k := range raw {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	cells := make([]Cell, 0, len(keys))
-	for _, k := range keys {
-		st := raw[k]
-		codes := results.DecodeKey(k)
+	keys, states := res.Cells.CuboidColumns(res.Mask)
+	w := len(dims)
+	cells := make([]Cell, 0, len(states))
+	for i, st := range states {
+		codes := keys[i*w : (i+1)*w]
 		values := make([]string, len(codes))
 		for i, c := range codes {
 			values[i] = ds.decode(dims[i], c)

@@ -314,6 +314,7 @@ func ComputeOutOfCoreFS(fsys wal.FS, dir string, q Query, memLimitBytes int64) (
 	if err != nil {
 		return nil, nil, err
 	}
+	set.Seal()
 
 	algo := q.Algorithm
 	if algo == "" {
