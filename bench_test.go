@@ -21,8 +21,10 @@ import (
 	"icebergcube/internal/disk"
 	"icebergcube/internal/exp"
 	"icebergcube/internal/gen"
+	"icebergcube/internal/lattice"
 	"icebergcube/internal/online"
 	"icebergcube/internal/relation"
+	"icebergcube/internal/serve"
 	"icebergcube/internal/wal"
 )
 
@@ -167,6 +169,38 @@ func BenchmarkServe(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkServePrecompute measures the bulk warm crash recovery runs:
+// Precompute of every group-by but the leaf (63 masks) of the weather
+// serving cube — the benchmark's 6-dimension pick at the paper's 176,631
+// tuples — into a fresh server whose budget holds them all. rows/op is
+// the source rows the derivations scanned: 63 × leaf rows if every
+// cuboid were derived from the leaf.
+func BenchmarkServePrecompute(b *testing.B) {
+	ds := SyntheticWeather(176631, 2001)
+	mat, err := Materialize(ds, ds.PickDimsByCardinalityProduct(6, 7), 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := mat.cube.Current().Srv
+	leaf := srv.Leaf()
+	masks := make([]lattice.Mask, 0, leaf.Mask)
+	for m := lattice.Mask(0); m < leaf.Mask; m++ {
+		masks = append(masks, m)
+	}
+	var scanned int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := serve.NewServer(leaf, srv.Cards(), 1<<40)
+		if n, _ := s.Precompute(masks); n != len(masks) {
+			b.Fatalf("admitted %d of %d", n, len(masks))
+		}
+		for _, cs := range s.CuboidStats() {
+			scanned += cs.DeriveCells
+		}
+	}
+	b.ReportMetric(float64(scanned)/float64(b.N), "rows/op")
 }
 
 // benchMutationBatch draws n rows inside the data set's existing code

@@ -14,6 +14,16 @@ func colBytes(card int) int {
 	return 4
 }
 
+// RadixPasses returns the counting passes SortRowsBy makes to order rows
+// by columns of the given cardinalities — the per-row cost of the sort.
+func RadixPasses(cards []int) int {
+	n := 0
+	for _, c := range cards {
+		n += colBytes(c)
+	}
+	return n
+}
+
 // SortRowsBy orders the n rows of keys (stride codes per row) by the tuple
 // of columns cols: a stable LSD radix, least-significant column first,
 // one counting pass per significant byte of cards[c]. It returns the

@@ -81,13 +81,22 @@ func aggregateFrom(src *Cuboid, mask lattice.Mask, cols []int, cards []int, sc *
 		return src
 	}
 
-	perm := relation.SortRowsBy(src.Keys, src.Width, n, cols, cards, sc)
+	// When cols are src's leading columns, src's rows are already in the
+	// query's tuple order and equal tuples are adjacent: no sort.
+	var perm []int32
+	if !isLeading(cols) {
+		perm = relation.SortRowsBy(src.Keys, src.Width, n, cols, cards, sc)
+	}
 
 	// Merge runs of equal projected tuples into output cells.
 	outKeys := make([]uint32, 0, 4*width)
 	outStates := make([]agg.State, 0, 4)
-	for _, r := range perm {
-		row := src.Keys[int(r)*src.Width : (int(r)+1)*src.Width]
+	for i := 0; i < n; i++ {
+		r := i
+		if perm != nil {
+			r = int(perm[i])
+		}
+		row := src.Keys[r*src.Width : (r+1)*src.Width]
 		if last := len(outStates) - 1; last >= 0 && sameProjected(outKeys[last*width:], row, cols) {
 			outStates[last].Merge(src.States[r])
 			continue
@@ -97,8 +106,21 @@ func aggregateFrom(src *Cuboid, mask lattice.Mask, cols []int, cards []int, sc *
 		}
 		outStates = append(outStates, src.States[r])
 	}
-	sc.PutInt32s(perm)
+	if perm != nil {
+		sc.PutInt32s(perm)
+	}
 	return &Cuboid{Mask: mask, Width: width, Keys: outKeys, States: outStates}
+}
+
+// isLeading reports whether cols is 0, 1, …, len(cols)-1: the query is a
+// prefix of the source (lattice.Mask.PrefixOf).
+func isLeading(cols []int) bool {
+	for i, c := range cols {
+		if c != i {
+			return false
+		}
+	}
+	return true
 }
 
 // sameProjected reports whether prev equals row projected onto cols.

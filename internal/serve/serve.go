@@ -27,10 +27,12 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -183,8 +185,9 @@ type Server struct {
 	retired atomic.Bool
 
 	// testBeforeAdmit, when set, runs between a miss's aggregation and
-	// its cache admission — the window the generation guard protects.
-	// Tests use it to interleave Reset/Invalidate/SetBudget
+	// its cache admission — the window the generation guard protects —
+	// and, in Precompute, after each lattice level and before each
+	// admission. Tests use it to interleave Reset/Invalidate/SetBudget
 	// deterministically with an in-flight computation.
 	testBeforeAdmit func()
 
@@ -362,6 +365,11 @@ func (s *Server) QueryCtx(ctx context.Context, q lattice.Mask) (*Cuboid, QuerySt
 		s.mu.Lock()
 		f, waiting := s.inflight[q]
 		if !waiting {
+			if s.cache.peek(q) {
+				// A flight admitted q between the miss and the lock.
+				s.mu.Unlock()
+				continue
+			}
 			if err := ctx.Err(); err != nil {
 				// Last check before committing to the derivation.
 				s.mu.Unlock()
@@ -446,7 +454,7 @@ func project(cards []int, src, q lattice.Mask) (cols, qCards []int) {
 // it cost; gen is the cache generation observed before any resident state
 // was read — admissions derived from this result must carry it.
 // Foreground derivations count toward the leaf/ancestor split; background
-// ones (fills, Precompute) are counted by their callers.
+// fills are counted by their caller.
 func (s *Server) derive(ctx context.Context, q lattice.Mask, background bool) (cub *Cuboid, st QueryStats, gen uint64, err error) {
 	// Capture the cache generation before reading any resident state: if
 	// a Reset or Invalidate lands while we aggregate, the admission below
@@ -661,15 +669,24 @@ func (s *Server) Warm(cubs []*Cuboid) {
 // computations record into the stats table as background fills, not
 // demand; duplicate masks and the pinned leaf are ignored, and a mask
 // whose derivation fails (a cold scan error) is reported as skipped.
+//
+// The computation is the paper's ASL in miniature (§3.3): one task per
+// cuboid, top-down by lattice level, so each level derives from the
+// cheapest of the pinned leaf, the cuboids resident at the start and those
+// built at earlier levels (cheapestSource); each level's tasks are
+// demand-scheduled over GOMAXPROCS rank goroutines. Every admission
+// carries the one cache generation read before the first derivation, so a
+// Reset or Invalidate during the warm rejects the whole batch.
 func (s *Server) Precompute(masks []lattice.Mask) (admitted int, skipped []lattice.Mask) {
 	type pre struct {
 		mask  lattice.Mask
 		cub   *Cuboid
-		gen   uint64
+		st    QueryStats
+		err   error
 		score float64
 	}
 	seen := make(map[lattice.Mask]bool, len(masks))
-	var todo []pre
+	var todo []*pre // in the caller's order, for the skipped list
 	for _, q := range masks {
 		if s.pinnedFor(q) != nil || seen[q] || !q.SubsetOf(s.full) {
 			continue
@@ -679,29 +696,80 @@ func (s *Server) Precompute(masks []lattice.Mask) (admitted int, skipped []latti
 			admitted++
 			continue
 		}
-		cub, st, gen, err := s.derive(context.Background(), q, true)
-		if err != nil {
-			skipped = append(skipped, q)
-			continue
-		}
-		s.bgFills.Add(1)
-		s.stats.recordFill(q, cub.Rows(), cub.SizeBytes(), st.deriveCost())
-		todo = append(todo, pre{
-			mask:  q,
-			cub:   cub,
-			gen:   gen,
-			score: admissionScore(1, s.leaf.rows(), cub.Rows(), cub.SizeBytes()),
-		})
+		todo = append(todo, &pre{mask: q})
 	}
-	sort.Slice(todo, func(a, b int) bool {
-		if todo[a].score != todo[b].score {
-			return todo[a].score > todo[b].score
+
+	gen := s.cache.generation()
+	sources := s.cache.resident()
+	if leaf := s.leaf.pinned(); leaf != nil {
+		sources = append(sources, leaf)
+	}
+	order := slices.Clone(todo)
+	slices.SortFunc(order, func(a, b *pre) int {
+		if c := b.mask.Count() - a.mask.Count(); c != 0 {
+			return c
 		}
-		return todo[a].mask < todo[b].mask
+		return cmp.Compare(a.mask, b.mask)
 	})
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && order[hi].mask.Count() == order[lo].mask.Count() {
+			hi++
+		}
+		level := order[lo:hi]
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for range min(runtime.GOMAXPROCS(0), len(level)) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sc := s.scratch.Get().(*relation.Scratch)
+				defer s.scratch.Put(sc)
+				for i := int(next.Add(1)) - 1; i < len(level); i = int(next.Add(1)) - 1 {
+					p := level[i]
+					p.cub, p.st, p.err = s.deriveFrom(p.mask, sources, sc)
+				}
+			}()
+		}
+		wg.Wait()
+		for _, p := range level {
+			if p.err != nil {
+				continue
+			}
+			if p.st.ColdScan {
+				s.coldScans.Add(1)
+				s.rowsScanned.Add(p.st.RowsScanned)
+			}
+			s.bgFills.Add(1)
+			s.stats.recordFill(p.mask, p.cub.Rows(), p.cub.SizeBytes(), p.st.deriveCost())
+			p.score = admissionScore(1, s.leaf.rows(), p.cub.Rows(), p.cub.SizeBytes())
+			sources = append(sources, p.cub)
+		}
+		if s.testBeforeAdmit != nil {
+			s.testBeforeAdmit()
+		}
+		lo = hi
+	}
+
+	built := make([]*pre, 0, len(todo))
 	for _, p := range todo {
-		ok, _ := s.cache.add(p.mask, p.cub, p.gen, p.score)
-		if ok {
+		if p.err != nil {
+			skipped = append(skipped, p.mask)
+		} else {
+			built = append(built, p)
+		}
+	}
+	slices.SortFunc(built, func(a, b *pre) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.mask, b.mask)
+	})
+	for _, p := range built {
+		if s.testBeforeAdmit != nil {
+			s.testBeforeAdmit()
+		}
+		if ok, _ := s.cache.add(p.mask, p.cub, gen, p.score); ok {
 			admitted++
 			s.bgAdmitted.Add(1)
 		} else {
@@ -709,6 +777,46 @@ func (s *Server) Precompute(masks []lattice.Mask) (admitted int, skipped []latti
 		}
 	}
 	return admitted, skipped
+}
+
+// deriveFrom computes q from the cheapest of sources (immutable cuboids,
+// read without the cache), or by streaming the leaf source when none
+// covers q; st records the work (deriveCost) and any cold scan. The
+// caller does the counting.
+func (s *Server) deriveFrom(q lattice.Mask, sources []*Cuboid, sc *relation.Scratch) (cub *Cuboid, st QueryStats, err error) {
+	src := s.cheapestSource(q, sources)
+	if src == nil {
+		cub, err = s.leaf.aggregate(context.Background(), q, s.cards, sc, &st)
+		return cub, st, err
+	}
+	st.CellsScanned = src.Rows()
+	cols, cards := project(s.cards, src.Mask, q)
+	return aggregateFrom(src, q, cols, cards, sc), st, nil
+}
+
+// cheapestSource picks the source q is derived from most cheaply: its
+// rows when q is a prefix of the source, so aggregateFrom skips the sort,
+// its rows times q's radix passes otherwise; ties go to the lowest mask,
+// so the plan is a pure function of the source set. Nil when no source is
+// a superset of q.
+func (s *Server) cheapestSource(q lattice.Mask, sources []*Cuboid) *Cuboid {
+	_, qCards := project(s.cards, q, q)
+	passes := relation.RadixPasses(qCards)
+	var best *Cuboid
+	bestCost := 0
+	for _, src := range sources {
+		if !q.SubsetOf(src.Mask) {
+			continue
+		}
+		cost := src.Rows()
+		if !q.PrefixOf(src.Mask) {
+			cost *= passes
+		}
+		if best == nil || cost < bestCost || cost == bestCost && src.Mask < best.Mask {
+			best, bestCost = src, cost
+		}
+	}
+	return best
 }
 
 // CuboidStats returns the per-cuboid stats table — every group-by shape
