@@ -1,17 +1,19 @@
 # Development targets. CI (.github/workflows/ci.yml) runs the same steps.
 
 FUZZTIME ?= 30s
-FUZZ_TARGETS := FuzzDifferential FuzzMetamorphic FuzzHashTree FuzzEncodeRoundTrip FuzzSortKernel
-# Root-package fuzz targets (seed corpus under testdata/fuzz/).
-FUZZ_TARGETS_ROOT := FuzzIncrementalMaintenance
-# WAL fuzz targets (seed corpus under internal/wal/testdata/fuzz/).
-FUZZ_TARGETS_WAL := FuzzWALReplay
-# Segment fuzz targets (seed corpus under internal/segment/testdata/fuzz/).
-FUZZ_TARGETS_SEGMENT := FuzzSegmentReader
-# HTTP edge fuzz targets (seeds in the test: f.Add).
-FUZZ_TARGETS_HTTPSERVE := FuzzWireEncoding
-# Result-sink fuzz targets (seed corpus under internal/results/testdata/fuzz/).
-FUZZ_TARGETS_RESULTS := FuzzResultSet
+# Every fuzz target as package:Target. Seed corpora live under each
+# package's testdata/fuzz/ (FuzzWireEncoding's seeds are f.Add calls).
+FUZZ_TARGETS := \
+	./internal/oracle:FuzzDifferential \
+	./internal/oracle:FuzzMetamorphic \
+	./internal/oracle:FuzzHashTree \
+	./internal/oracle:FuzzEncodeRoundTrip \
+	./internal/oracle:FuzzSortKernel \
+	.:FuzzIncrementalMaintenance \
+	./internal/wal:FuzzWALReplay \
+	./internal/segment:FuzzSegmentReader \
+	./internal/httpserve:FuzzWireEncoding \
+	./internal/results:FuzzResultSet
 
 .PHONY: build vet test short race chaos fuzz corpus bench-smoke bench-e2e bench-gate loc deadcode leftovers
 
@@ -60,29 +62,10 @@ chaos:
 # and FuzzWireEncoding's f.Add seeds, also replay as regression tests in
 # `make test`.
 fuzz:
-	@for t in $(FUZZ_TARGETS); do \
+	@for pt in $(FUZZ_TARGETS); do \
+		p=$${pt%%:*}; t=$${pt#*:}; \
 		echo "== $$t =="; \
-		go test ./internal/oracle -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) || exit 1; \
-	done
-	@for t in $(FUZZ_TARGETS_ROOT); do \
-		echo "== $$t =="; \
-		go test . -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) || exit 1; \
-	done
-	@for t in $(FUZZ_TARGETS_WAL); do \
-		echo "== $$t =="; \
-		go test ./internal/wal -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) || exit 1; \
-	done
-	@for t in $(FUZZ_TARGETS_SEGMENT); do \
-		echo "== $$t =="; \
-		go test ./internal/segment -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) || exit 1; \
-	done
-	@for t in $(FUZZ_TARGETS_HTTPSERVE); do \
-		echo "== $$t =="; \
-		go test ./internal/httpserve -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) || exit 1; \
-	done
-	@for t in $(FUZZ_TARGETS_RESULTS); do \
-		echo "== $$t =="; \
-		go test ./internal/results -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) || exit 1; \
+		go test $$p -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done
 
 # Regenerate the checked-in seed corpora: the oracle corpus from

@@ -1,5 +1,5 @@
 // Serving: the lattice-aware serving layer on top of the §5.1
-// materialized leaf — queries rewritten to the smallest resident ancestor
+// materialized leaf — queries rewritten to the cheapest resident ancestor
 // cuboid, computed cuboids retained in a byte-budgeted LRU cache, and
 // per-query stats showing which regime (leaf scan, ancestor aggregation,
 // cache hit) each answer took.

@@ -2,6 +2,7 @@ package httpserve
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 )
@@ -84,19 +85,44 @@ func (fl *flights) do(ctx context.Context, canonical []string, minSupport int64,
 	// own departure is observed from the side: it counts out like any
 	// waiter, and the encode carries on while someone else is waiting.
 	stop := context.AfterFunc(ctx, func() { fl.leave(key, f) })
-	f.body, f.err = EncodeQuery(fctx, fl.backend, canonical, minSupport)
+	fl.encode(fctx, key, f, canonical, minSupport)
 	stop()
-	fl.mu.Lock()
-	if fl.active[key] == f {
-		delete(fl.active, key)
-	}
-	fl.mu.Unlock()
-	close(f.done)
-	f.cancel()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return f.body, f.err
+}
+
+// PanicError is what a joined query gets when the encode it waited on
+// panicked: the encoding request re-panics, and no waiter is left blocked
+// on a flight that will never land.
+type PanicError struct{ Value any }
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("httpserve: the encode panicked: %v", e.Value)
+}
+
+// encode runs f's encode and lands the flight, also when the encode
+// panics: it is unregistered before its waiters wake, so nobody joins it
+// once it is done.
+func (fl *flights) encode(ctx context.Context, key flightKey, f *flight, canonical []string, minSupport int64) {
+	defer func() {
+		v := recover()
+		if v != nil {
+			f.body, f.err = nil, &PanicError{Value: v}
+		}
+		fl.mu.Lock()
+		if fl.active[key] == f {
+			delete(fl.active, key)
+		}
+		fl.mu.Unlock()
+		close(f.done)
+		f.cancel()
+		if v != nil {
+			panic(v)
+		}
+	}()
+	f.body, f.err = EncodeQuery(ctx, fl.backend, canonical, minSupport)
 }
 
 // leave counts one waiter out of f. The last one out unregisters the

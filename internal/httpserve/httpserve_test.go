@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -717,5 +718,58 @@ func TestStreamHeaderCarriesAnswerVersion(t *testing.T) {
 		if hdr.Version != v0 {
 			t.Fatalf("%s: stream header says version %d, the cells are from version %d", url, hdr.Version, v0)
 		}
+	}
+}
+
+// panicOnceBackend is a backend whose first AnswerColumns panics, once
+// the test closes release.
+type panicOnceBackend struct {
+	Backend
+	armed   atomic.Bool
+	release chan struct{}
+}
+
+func (b *panicOnceBackend) AnswerColumns(ctx context.Context, groupBy []string, minSupport int64) (*icebergcube.Columns, error) {
+	if b.armed.CompareAndSwap(true, false) {
+		<-b.release
+		panic("encode exploded")
+	}
+	return b.Backend.AnswerColumns(ctx, groupBy, minSupport)
+}
+
+// TestFlightPanicReleasesWaiters: an encode that panics still lands its
+// flight. The encoding request re-panics, a request that joined it is
+// answered 500 at once instead of at its deadline, and the next identical
+// query encodes afresh.
+func TestFlightPanicReleasesWaiters(t *testing.T) {
+	m := fixtureCube(t)
+	pb := &panicOnceBackend{Backend: Warm(m), release: make(chan struct{})}
+	pb.armed.Store(true)
+	s := New(Config{Backend: pb})
+
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		s.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", burstURL, nil))
+	}()
+	waitFor(t, "the encoding flight", func() bool { n, w := flightStats(s); return n == 1 && w == 1 })
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	joined := getAsync(ctx, s, burstURL)
+	waitFor(t, "a joined request", func() bool { _, w := flightStats(s); return w == 2 })
+	close(pb.release)
+
+	if v := <-leader; v == nil {
+		t.Fatal("the encoding request did not re-panic")
+	}
+	if rec := <-joined; rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "panicked") {
+		t.Fatalf("joined request: %d %s, want 500 naming the panic", rec.Code, rec.Body)
+	}
+	assertNoFlight(t, s)
+	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Second)
+	defer cancel2()
+	rec := <-getAsync(ctx2, s, burstURL)
+	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), burstBody(t, m)) {
+		t.Fatalf("query after the panic: %d %s", rec.Code, rec.Body)
 	}
 }

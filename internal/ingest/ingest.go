@@ -701,11 +701,12 @@ func (c *Cube) commitLocked(start time.Time, logIt bool) (Snapshot, error) {
 		// delta into each; a non-retractable projection leaves the
 		// cuboid dirty — it is dropped here and lazily re-derived from
 		// the new leaf when next queried.
+		sc := relation.NewScratch()
 		for _, cub := range head.Srv.Resident() {
 			if c.kill("cuboid-fold") {
 				return Snapshot{}, errKilled
 			}
-			pd := delta.Project(cub.Mask.Dims(), cards)
+			pd := delta.Project(cub.Mask.Dims(), cards, sc)
 			out, _, ok := serve.FoldDelta(cub, pd, nil)
 			if !ok {
 				snap.Dirty++

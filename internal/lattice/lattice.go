@@ -55,45 +55,6 @@ func (m Mask) Has(d int) bool { return m&(1<<uint(d)) != 0 }
 // SubsetOf reports whether every attribute of m is also in o.
 func (m Mask) SubsetOf(o Mask) bool { return m&^o == 0 }
 
-// SupersetOf reports whether m contains every attribute of o — i.e. the
-// cuboid m is an ancestor of o in the lattice (o is derivable from m by
-// further aggregation).
-func (m Mask) SupersetOf(o Mask) bool { return o&^m == 0 }
-
-// SmallestAncestor picks, among the candidate cuboids, the cheapest one a
-// group-by q can be answered from: a superset of q with the fewest cells.
-// size reports a candidate's cell count.
-//
-// Tie-break rule (normative — the serving layer's answer provenance and
-// the admission planner both depend on selection being a pure function of
-// the candidate set): among candidates with equal cell counts, the one
-// with fewer GROUP BY attributes wins; among those, the numerically
-// lowest mask wins. Candidate order never matters, so LRU and adaptive
-// cache configurations holding the same resident set rewrite every query
-// identically — the invariant the adaptive-vs-LRU serving oracle checks.
-//
-// The serving layer uses this to rewrite queries onto the smallest
-// resident cuboid instead of always rescanning the leaf.
-func SmallestAncestor(q Mask, candidates []Mask, size func(Mask) int) (Mask, bool) {
-	best, bestSize := Mask(0), -1
-	for _, c := range candidates {
-		if !c.SupersetOf(q) {
-			continue
-		}
-		n := size(c)
-		switch {
-		case bestSize < 0 || n < bestSize:
-		case n > bestSize:
-			continue
-		case c.Count() < best.Count():
-		case c.Count() > best.Count() || c >= best:
-			continue
-		}
-		best, bestSize = c, n
-	}
-	return best, bestSize >= 0
-}
-
 // PrefixOf reports whether m's attribute sequence is a prefix of o's, i.e.
 // m ⊆ o and every attribute of o \ m is larger than every attribute of m.
 // (ABC is a prefix of ABCD; ACD is not a prefix of ABCD.)

@@ -1,5 +1,7 @@
 package relation
 
+import "icebergcube/internal/agg"
+
 // colBytes returns how many radix passes (low-order bytes) are needed to
 // order codes below card.
 func colBytes(card int) int {
@@ -79,4 +81,116 @@ func SortRows(keys []uint32, width, n int, cards []int, sc *Scratch) []int32 {
 	perm := SortRowsBy(keys, width, n, cols, cards, sc)
 	sc.PutInts(cols)
 	return perm
+}
+
+// Groups is n row-major code tuples grouped by their projection onto some
+// columns (GroupRows): the rows in ascending projected-tuple order, and
+// where each run of equal projected tuples starts. Its buffers come from
+// the caller's scratch; hand them back with Release.
+type Groups struct {
+	keys   []uint32
+	stride int
+	n      int
+	cols   []int
+	perm   []int32 // row order; nil when the input order already is
+	starts []int32 // the first position of each run, ascending
+}
+
+// GroupRows groups the n rows of keys (stride codes per row) by their
+// projection onto cols, cards[j] bounding the codes of column cols[j]. It
+// radix-sorts the rows by the projected tuple (SortRowsBy) unless sorted
+// says they already are in ascending tuple order and cols are their
+// leading columns, whose projection is then sorted too. Within a run the
+// rows keep input order, since the sort is stable. It is the one
+// run-grouping loop over code tuples: the serving layer's roll-ups, leaf
+// builds and delta projections and the result sink's seal all call it.
+func GroupRows(keys []uint32, stride, n int, cols, cards []int, sorted bool, sc *Scratch) Groups {
+	g := Groups{keys: keys, stride: stride, n: n, cols: cols}
+	for i, c := range cols {
+		sorted = sorted && c == i
+	}
+	if !sorted {
+		g.perm = SortRowsBy(keys, stride, n, cols, cards, sc)
+	}
+	g.starts = sc.Int32s(n)
+	prev := -1
+	for i := 0; i < n; i++ {
+		r := g.Row(i)
+		if prev < 0 || !g.same(prev, r) {
+			g.starts = append(g.starts, int32(i))
+		}
+		prev = r
+	}
+	return g
+}
+
+// same reports whether rows a and b agree on every grouped column.
+func (g *Groups) same(a, b int) bool {
+	ra, rb := g.keys[a*g.stride:], g.keys[b*g.stride:]
+	for _, c := range g.cols {
+		if ra[c] != rb[c] {
+			return false
+		}
+	}
+	return true
+}
+
+// Len returns the number of runs: the distinct projected tuples.
+func (g *Groups) Len() int { return len(g.starts) }
+
+// Run returns run i's positions [lo, hi) in the grouped order.
+func (g *Groups) Run(i int) (lo, hi int) {
+	lo, hi = int(g.starts[i]), g.n
+	if i+1 < len(g.starts) {
+		hi = int(g.starts[i+1])
+	}
+	return lo, hi
+}
+
+// Row returns the input row at position j of the grouped order.
+func (g *Groups) Row(j int) int {
+	if g.perm == nil {
+		return j
+	}
+	return int(g.perm[j])
+}
+
+// Keys returns every run's projected tuple, row-major in run order, in an
+// exactly sized slice; nil when no column is grouped.
+func (g *Groups) Keys() []uint32 {
+	if len(g.cols) == 0 {
+		return nil
+	}
+	out := make([]uint32, 0, len(g.starts)*len(g.cols))
+	for _, lo := range g.starts {
+		row := g.keys[g.Row(int(lo))*g.stride:]
+		for _, c := range g.cols {
+			out = append(out, row[c])
+		}
+	}
+	return out
+}
+
+// Merge returns, per run, the merge of its rows' states in row order;
+// nil when states is.
+func (g *Groups) Merge(states []agg.State) []agg.State {
+	if states == nil {
+		return nil
+	}
+	out := make([]agg.State, len(g.starts))
+	for i := range out {
+		lo, hi := g.Run(i)
+		st := states[g.Row(lo)]
+		for j := lo + 1; j < hi; j++ {
+			st.Merge(states[g.Row(j)])
+		}
+		out[i] = st
+	}
+	return out
+}
+
+// Release hands the grouping's buffers back to sc.
+func (g *Groups) Release(sc *Scratch) {
+	sc.PutInt32s(g.starts)
+	sc.PutInt32s(g.perm)
 }

@@ -104,10 +104,14 @@ func (c *cuboid) seal(sc *relation.Scratch) {
 // sortMerge returns the distinct tuples among the rows of keys (w codes
 // each, one state per row in states) in ascending order, in exactly-sized
 // columns; each tuple's state merges its rows' states in row order, since
-// the radix sort is stable.
+// relation.GroupRows is stable.
 func sortMerge(keys []uint32, states []agg.State, w int, sc *relation.Scratch) ([]uint32, []agg.State) {
 	cards := sc.Ints(w)[:w]
+	cols := sc.Ints(w)[:w]
 	clear(cards)
+	for i := range cols {
+		cols[i] = i
+	}
 	for i := 0; i < len(keys); i += w {
 		for j, v := range keys[i : i+w] {
 			if int(v) >= cards[j] {
@@ -115,29 +119,12 @@ func sortMerge(keys []uint32, states []agg.State, w int, sc *relation.Scratch) (
 			}
 		}
 	}
-	perm := relation.SortRows(keys, w, len(states), cards, sc)
+	g := relation.GroupRows(keys, w, len(states), cols, cards, false, sc)
+	outStates := g.Merge(states)
+	outKeys := g.Keys()
+	g.Release(sc)
+	sc.PutInts(cols)
 	sc.PutInts(cards)
-	row := func(i int) []uint32 { r := int(perm[i]); return keys[r*w : (r+1)*w] }
-	newCell := func(i int) bool { return i == 0 || !slices.Equal(row(i-1), row(i)) }
-
-	// Count the distinct tuples first so the columns are exact.
-	cells := 0
-	for i := range perm {
-		if newCell(i) {
-			cells++
-		}
-	}
-	outKeys := make([]uint32, 0, cells*w)
-	outStates := make([]agg.State, 0, cells)
-	for i, r := range perm {
-		if newCell(i) {
-			outKeys = append(outKeys, row(i)...)
-			outStates = append(outStates, states[r])
-			continue
-		}
-		outStates[len(outStates)-1].Merge(states[r])
-	}
-	sc.PutInt32s(perm)
 	return outKeys, outStates
 }
 

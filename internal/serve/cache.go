@@ -273,23 +273,6 @@ func (c *cache) setBudget(budget int64) {
 	}
 }
 
-// residentMasks appends the resident masks and their cell counts to dst —
-// the candidate set for smallest-ancestor selection.
-func (c *cache) residentMasks(dst []maskSize) []maskSize {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*centry)
-		dst = append(dst, maskSize{mask: e.mask, rows: e.cub.Rows()})
-	}
-	return dst
-}
-
-type maskSize struct {
-	mask lattice.Mask
-	rows int
-}
-
 // resident returns the resident cuboids in recency order (most recently
 // used first). The snapshot-commit path folds each of them forward into
 // the next version's cache.

@@ -3,9 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
-	"slices"
 
-	"icebergcube/internal/agg"
 	"icebergcube/internal/lattice"
 	"icebergcube/internal/relation"
 )
@@ -26,11 +24,6 @@ type ColdSource interface {
 	Scan(dims []int, yield func(cols [][]uint32, meas []float64) error) error
 }
 
-// coldLeaf is the streamed leaf source: the finest cuboid stays in a
-// ColdSource and is aggregated straight off it, one projected chunk at a
-// time, so peak memory is the result size plus one chunk — never the leaf.
-type coldLeaf struct{ src ColdSource }
-
 // NewColdServer builds a server whose leaf stays in src: it holds only the
 // byte-budgeted cache of computed cuboids and falls back to streaming the
 // store when no resident ancestor covers a query. cards gives the code
@@ -44,23 +37,24 @@ func NewColdServer(src ColdSource, cards []int, budgetBytes int64) (*Server, err
 	if w <= 0 || w >= 32 {
 		return nil, fmt.Errorf("serve: cold source width %d out of range", w)
 	}
-	return newServer(coldLeaf{src}, (1<<uint(w))-1, cards, budgetBytes), nil
+	s := newServer(nil, (1<<uint(w))-1, cards, budgetBytes)
+	s.cold = src
+	return s, nil
 }
 
-func (c coldLeaf) pinned() *Cuboid { return nil }
-func (c coldLeaf) rows() int       { return c.src.Rows() }
-
-// aggregate streams the queried columns from the store and folds each
-// chunk into a running sorted cuboid: LeafFromRows groups the chunk's rows
-// into a cuboid over q's columns, and mergeCuboids folds it into the
-// accumulator. The context is checked before each chunk so an abandoned
-// query aborts the scan instead of reading the rest of the table.
-func (c coldLeaf) aggregate(ctx context.Context, q lattice.Mask, cards []int, sc *relation.Scratch, st *QueryStats) (*Cuboid, error) {
-	_, qCards := project(cards, q, q)
+// scanCold computes q by streaming the queried columns from the cold
+// store and folding each chunk into a running sorted cuboid: leafFromRows
+// groups the chunk's rows over q's columns, and FoldDelta merges them into
+// the accumulator as an append-only delta, so peak memory is the result
+// plus one chunk — never the leaf. The context is checked before each
+// chunk so an abandoned query aborts the scan instead of reading the rest
+// of the table.
+func (s *Server) scanCold(ctx context.Context, q lattice.Mask, sc *relation.Scratch, st *QueryStats) (*Cuboid, error) {
+	_, qCards := project(s.cards, q, q)
 	w := len(qCards)
 	acc := &Cuboid{Mask: q, Width: w}
 	var scanned int64
-	err := c.src.Scan(q.Dims(), func(cols [][]uint32, meas []float64) error {
+	err := s.cold.Scan(q.Dims(), func(cols [][]uint32, meas []float64) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -77,8 +71,7 @@ func (c coldLeaf) aggregate(ctx context.Context, q lattice.Mask, cards []int, sc
 		}
 		chunk := leafFromRows(w, keys, meas, qCards, sc)
 		sc.PutUint32s(keys)
-		chunk.Mask = q
-		acc = mergeCuboids(acc, chunk)
+		acc, _, _ = FoldDelta(acc, &Delta{Width: w, Keys: chunk.Keys, Add: chunk.States}, nil)
 		return nil
 	})
 	if err != nil {
@@ -86,59 +79,4 @@ func (c coldLeaf) aggregate(ctx context.Context, q lattice.Mask, cards []int, sc
 	}
 	st.ColdScan, st.RowsScanned = true, scanned
 	return acc, nil
-}
-
-// mergeCuboids merges two cuboids of the same mask, each sorted in
-// ascending tuple order, into one sorted cuboid; equal tuples merge their
-// states. Either input's storage may be reused by the result.
-func mergeCuboids(a, b *Cuboid) *Cuboid {
-	if a.Rows() == 0 {
-		return b
-	}
-	if b.Rows() == 0 {
-		return a
-	}
-	w := a.Width
-	if w == 0 {
-		st := a.States[0]
-		st.Merge(b.States[0])
-		return &Cuboid{Mask: a.Mask, Width: 0, States: []agg.State{st}}
-	}
-	an, bn := a.Rows(), b.Rows()
-	out := &Cuboid{
-		Mask:   a.Mask,
-		Width:  w,
-		Keys:   make([]uint32, 0, (an+bn)*w),
-		States: make([]agg.State, 0, an+bn),
-	}
-	i, j := 0, 0
-	for i < an && j < bn {
-		cmp := slices.Compare(a.Row(i), b.Row(j))
-		switch {
-		case cmp < 0:
-			out.Keys = append(out.Keys, a.Row(i)...)
-			out.States = append(out.States, a.States[i])
-			i++
-		case cmp > 0:
-			out.Keys = append(out.Keys, b.Row(j)...)
-			out.States = append(out.States, b.States[j])
-			j++
-		default:
-			st := a.States[i]
-			st.Merge(b.States[j])
-			out.Keys = append(out.Keys, a.Row(i)...)
-			out.States = append(out.States, st)
-			i++
-			j++
-		}
-	}
-	for ; i < an; i++ {
-		out.Keys = append(out.Keys, a.Row(i)...)
-		out.States = append(out.States, a.States[i])
-	}
-	for ; j < bn; j++ {
-		out.Keys = append(out.Keys, b.Row(j)...)
-		out.States = append(out.States, b.States[j])
-	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"icebergcube/internal/lattice"
 )
@@ -273,4 +274,56 @@ func TestColdLeaderCancelDoesNotFailLiveWaiter(t *testing.T) {
 	if leaked != 0 {
 		t.Fatalf("%d flights left in the inflight map", leaked)
 	}
+}
+
+// TestFlightPanicReleasesWaiters: a computation that panics still lands
+// its flight. The leader re-panics, a query that joined the flight gets
+// a *PanicError instead of waiting for its deadline, and the next query
+// for the mask computes afresh instead of joining the dead flight.
+func TestFlightPanicReleasesWaiters(t *testing.T) {
+	leaf, cards := buildLeaf([]int{6, 5, 4}, 400, 3)
+	s := NewServer(leaf, cards, 0)
+	q := lattice.Mask(0b110)
+
+	joinedErr := make(chan error, 1)
+	var once sync.Once
+	s.testBeforeAdmit = func() {
+		once.Do(func() {
+			// Blow up the leader's computation once a second query has
+			// joined its flight.
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			joined := make(chan struct{})
+			var joinOnce sync.Once
+			go func() {
+				defer cancel()
+				_, _, err := s.QueryCtx(signalCtx{ctx, func() { joinOnce.Do(func() { close(joined) }) }}, q)
+				joinedErr <- err
+			}()
+			<-joined
+			panic("compute exploded")
+		})
+	}
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the leader did not re-panic")
+			}
+		}()
+		s.Query(q)
+	}()
+	var pe *PanicError
+	if err := <-joinedErr; !errors.As(err, &pe) {
+		t.Fatalf("joined query: %v, want a *PanicError", err)
+	}
+	if n := inflightLen(s); n != 0 {
+		t.Fatalf("%d flights left registered after the panic", n)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	cub, _, err := s.QueryCtx(ctx, q)
+	if err != nil {
+		t.Fatalf("query after the panic: %v", err)
+	}
+	checkCuboid(t, leaf, q, cub)
 }

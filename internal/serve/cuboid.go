@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"slices"
-
 	"icebergcube/internal/agg"
 	"icebergcube/internal/lattice"
 	"icebergcube/internal/relation"
@@ -57,80 +55,20 @@ func (c *Cuboid) SizeBytes() int64 {
 // aggregateFrom computes the cuboid for mask by aggregating src, a
 // resident ancestor (mask ⊆ src.Mask). cols gives, for each attribute of
 // mask in ascending order, its column index within src's rows; cards the
-// attribute's code cardinality (for radix sizing). The returned cuboid is
-// sorted in natural tuple order because the permutation sort is stable and
-// keyed on exactly the projected columns. sc supplies reusable sort
-// scratch; per the relation.Scratch ownership rule it must be private to
-// the calling goroutine.
+// attribute's code cardinality (for radix sizing). relation.GroupRows
+// orders src's rows by the projected tuple — no sort at all when mask is
+// a prefix of src.Mask — and each run of equal tuples merges into one
+// cell, in src's row order. sc supplies reusable sort scratch; per the
+// relation.Scratch ownership rule it must be private to the calling
+// goroutine.
 func aggregateFrom(src *Cuboid, mask lattice.Mask, cols []int, cards []int, sc *relation.Scratch) *Cuboid {
-	n := src.Rows()
-	width := len(cols)
-	if width == 0 {
-		// Roll everything up to the single "all" cell.
-		st := agg.NewState()
-		for _, s := range src.States {
-			st.Merge(s)
-		}
-		out := &Cuboid{Mask: mask, Width: 0}
-		if n > 0 {
-			out.States = []agg.State{st}
-		}
-		return out
-	}
 	if mask == src.Mask {
 		return src
 	}
-
-	// When cols are src's leading columns, src's rows are already in the
-	// query's tuple order and equal tuples are adjacent: no sort.
-	var perm []int32
-	if !isLeading(cols) {
-		perm = relation.SortRowsBy(src.Keys, src.Width, n, cols, cards, sc)
-	}
-
-	// Merge runs of equal projected tuples into output cells.
-	outKeys := make([]uint32, 0, 4*width)
-	outStates := make([]agg.State, 0, 4)
-	for i := 0; i < n; i++ {
-		r := i
-		if perm != nil {
-			r = int(perm[i])
-		}
-		row := src.Keys[r*src.Width : (r+1)*src.Width]
-		if last := len(outStates) - 1; last >= 0 && sameProjected(outKeys[last*width:], row, cols) {
-			outStates[last].Merge(src.States[r])
-			continue
-		}
-		for _, col := range cols {
-			outKeys = append(outKeys, row[col])
-		}
-		outStates = append(outStates, src.States[r])
-	}
-	if perm != nil {
-		sc.PutInt32s(perm)
-	}
-	return &Cuboid{Mask: mask, Width: width, Keys: outKeys, States: outStates}
-}
-
-// isLeading reports whether cols is 0, 1, …, len(cols)-1: the query is a
-// prefix of the source (lattice.Mask.PrefixOf).
-func isLeading(cols []int) bool {
-	for i, c := range cols {
-		if c != i {
-			return false
-		}
-	}
-	return true
-}
-
-// sameProjected reports whether prev equals row projected onto cols.
-func sameProjected(prev, row []uint32, cols []int) bool {
-	for i, col := range cols {
-		if prev[i] != row[col] {
-			return false
-		}
-	}
-	return true
+	g := relation.GroupRows(src.Keys, src.Width, src.Rows(), cols, cards, true, sc)
+	out := &Cuboid{Mask: mask, Width: len(cols), Keys: g.Keys(), States: g.Merge(src.States)}
+	g.Release(sc)
+	return out
 }
 
 // LeafFromRows groups a row multiset into its full-width cuboid: keys
@@ -144,30 +82,26 @@ func LeafFromRows(width int, keys []uint32, meas []float64, cards []int) *Cuboid
 
 // leafFromRows is LeafFromRows over the sort scratch sc (nil allocates).
 func leafFromRows(width int, keys []uint32, meas []float64, cards []int, sc *relation.Scratch) *Cuboid {
-	perm := relation.SortRows(keys, width, len(meas), cards, sc)
-	row := func(i int) []uint32 { r := int(perm[i]); return keys[r*width : (r+1)*width] }
-	newCell := func(i int) bool { return i == 0 || !slices.Equal(row(i-1), row(i)) }
-
-	// Count the distinct tuples first so the output is allocated once.
-	cells := 0
-	for i := range perm {
-		if newCell(i) {
-			cells++
-		}
+	cols := sc.Ints(width)[:width]
+	for i := range cols {
+		cols[i] = i
 	}
+	g := relation.GroupRows(keys, width, len(meas), cols, cards, false, sc)
 	out := &Cuboid{
 		Mask:   lattice.Mask(1)<<uint(width) - 1,
 		Width:  width,
-		Keys:   make([]uint32, 0, cells*width),
-		States: make([]agg.State, 0, cells),
+		Keys:   g.Keys(),
+		States: make([]agg.State, g.Len()),
 	}
-	for i, r := range perm {
-		if newCell(i) {
-			out.Keys = append(out.Keys, row(i)...)
-			out.States = append(out.States, agg.NewState())
+	for i := range out.States {
+		st := agg.NewState()
+		lo, hi := g.Run(i)
+		for j := lo; j < hi; j++ {
+			st.Add(meas[g.Row(j)])
 		}
-		out.States[len(out.States)-1].Add(meas[r])
+		out.States[i] = st
 	}
-	sc.PutInt32s(perm)
+	g.Release(sc)
+	sc.PutInts(cols)
 	return out
 }

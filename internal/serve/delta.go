@@ -20,7 +20,8 @@ type Delta struct {
 	// Keys holds Rows()×Width codes row-major, ascending tuple order.
 	Keys []uint32
 	// Add and Del hold, per key, the aggregate state of the appended and
-	// deleted tuples (Count == 0 where a side is empty).
+	// deleted tuples (Count == 0 where a side is empty). A nil Del means
+	// nothing was deleted: the delta is append-only.
 	Add []agg.State
 	Del []agg.State
 }
@@ -39,28 +40,17 @@ func (d *Delta) Row(i int) []uint32 {
 // sizing). Added and deleted aggregates merge independently per
 // projected key, in source-row order — merging is exact because appended
 // and deleted tuple sets are each disjoint across source keys. The result
-// is sorted in ascending tuple order.
-func (d *Delta) Project(cols, cards []int) *Delta {
-	width := len(cols)
-	qCards := make([]int, width)
-	for j, c := range cols {
-		qCards[j] = cards[c]
+// is sorted in ascending tuple order; onto leading columns it needs no
+// sort. sc supplies the sort scratch (nil allocates).
+func (d *Delta) Project(cols, cards []int, sc *relation.Scratch) *Delta {
+	qCards := sc.Ints(len(cols))
+	for _, c := range cols {
+		qCards = append(qCards, cards[c])
 	}
-	perm := relation.SortRowsBy(d.Keys, d.Width, d.Rows(), cols, qCards, nil)
-	out := &Delta{Width: width}
-	for _, r := range perm {
-		row := d.Row(int(r))
-		if last := out.Rows() - 1; last >= 0 && sameProjected(out.Row(last), row, cols) {
-			out.Add[last].Merge(d.Add[r])
-			out.Del[last].Merge(d.Del[r])
-			continue
-		}
-		for _, c := range cols {
-			out.Keys = append(out.Keys, row[c])
-		}
-		out.Add = append(out.Add, d.Add[r])
-		out.Del = append(out.Del, d.Del[r])
-	}
+	g := relation.GroupRows(d.Keys, d.Width, d.Rows(), cols, qCards, true, sc)
+	out := &Delta{Width: len(cols), Keys: g.Keys(), Add: g.Merge(d.Add), Del: g.Merge(d.Del)}
+	g.Release(sc)
+	sc.PutInts(qCards)
 	return out
 }
 
@@ -90,6 +80,10 @@ type FoldStats struct {
 // non-leaf cuboid: then a non-retractable cell makes the whole fold
 // return ok == false (the cuboid is dirty and must be lazily re-derived
 // from the new leaf), and the returned cuboid is nil.
+//
+// It is the one merge of two sorted runs in the serving layer: a commit
+// folds its delta into the leaf and every resident cuboid, and a cold scan
+// folds each grouped chunk into its accumulator as an append-only delta.
 func FoldDelta(base *Cuboid, d *Delta, recompute func(key []uint32) agg.State) (*Cuboid, FoldStats, bool) {
 	var stats FoldStats
 	if base.Width != d.Width {
@@ -158,6 +152,10 @@ func FoldDelta(base *Cuboid, d *Delta, recompute func(key []uint32) agg.State) (
 // callback is available.
 func applyDelta(s agg.State, d *Delta, j int, recompute func(key []uint32) agg.State, stats *FoldStats) (agg.State, bool) {
 	s.Merge(d.Add[j])
+	if d.Del == nil {
+		stats.Retracted++
+		return s, true
+	}
 	out, exact := s.Retract(d.Del[j])
 	if exact {
 		stats.Retracted++

@@ -115,14 +115,14 @@ func TestDeltaProject(t *testing.T) {
 		Add:   []agg.State{stateOf(1), stateOf(2), stateOf(4)},
 		Del:   []agg.State{agg.NewState(), stateOf(5), agg.NewState()},
 	}
-	p := d.Project([]int{0}, []int{2, 3})
+	p := d.Project([]int{0}, []int{2, 3}, nil)
 	if p.Width != 1 || p.Rows() != 2 || !equalU32(p.Keys, []uint32{0, 1}) {
 		t.Fatalf("projection %v (%d rows)", p.Keys, p.Rows())
 	}
 	if p.Add[1].Count != 2 || p.Add[1].Sum != 6 || p.Del[1].Count != 1 || p.Del[1].Sum != 5 {
 		t.Fatalf("projected group 1: add %+v del %+v", p.Add[1], p.Del[1])
 	}
-	all := d.Project(nil, []int{2, 3})
+	all := d.Project(nil, []int{2, 3}, nil)
 	if all.Width != 0 || all.Rows() != 1 || all.Add[0].Count != 3 || all.Del[0].Count != 1 {
 		t.Fatalf("all projection: %+v", all)
 	}

@@ -1,20 +1,24 @@
 // Package serve is the lattice-aware online serving layer over a
 // materialized finest cuboid (§5.1). Instead of rescanning every leaf
 // cell per query — O(leaf) work however coarse the group-by — it keeps a
-// registry of resident cuboids keyed by lattice.Mask and answers each
-// query from the smallest resident ancestor (Gray et al.'s cube-lattice
-// observation: any cuboid is derivable from any superset cuboid by
-// further aggregation). Computed cuboids are admitted into a
-// byte-budgeted cache, so repeated and nearby query shapes amortize to
-// near-lookup cost. Concurrent identical misses are coalesced so each
-// cuboid is computed once (singleflight).
+// registry of resident cuboids keyed by lattice.Mask and derives each
+// missing cuboid from the cheapest one it holds (Gray et al.'s
+// cube-lattice observation: any cuboid is derivable from any superset
+// cuboid by further aggregation). One rule picks that source for every
+// foreground miss, background fill and bulk warm, the paper's ASL choice
+// (§3.3.2, cheapestSource): a parent the query is a prefix of costs its
+// rows, because its order is reused and nothing is sorted; any other
+// parent costs its rows times the query's radix passes. Computed cuboids
+// are admitted into a byte-budgeted cache, so repeated and nearby query
+// shapes amortize to near-lookup cost. Concurrent identical misses are
+// coalesced so each cuboid is computed once (singleflight).
 //
-// Where the leaf lives is a source, not a server type (leafSource): a
-// resident *Cuboid is pinned outside the cache and never evicted; a
-// ColdSource stays on disk and is streamed, projected onto the queried
-// columns, only when no resident ancestor covers a query. Everything above
-// the leaf — cache, singleflight, counters, stats table, policies,
-// background fills — is the same code for both.
+// Where the leaf lives is a field, not a server type: a resident leaf is
+// pinned outside the cache, never evicted, and competes as a source like
+// any resident cuboid; a ColdSource stays on disk and is streamed,
+// projected onto the queried columns, only when no resident cuboid covers
+// a query. Everything above the leaf — cache, singleflight, counters,
+// stats table, policies, background fills — is the same code for both.
 //
 // Residency is governed by one of two policies. The default LRU admits
 // every computed cuboid and evicts by recency. The adaptive policy
@@ -51,8 +55,9 @@ type QueryStats struct {
 	// Query is the requested group-by.
 	Query lattice.Mask
 	// ServedFrom is the cuboid the answer came from: Query itself on a
-	// cache hit, else the smallest resident ancestor that was aggregated
-	// (the leaf's full mask when the leaf itself was, resident or streamed).
+	// cache hit, else the source cheapestSource picked among the resident
+	// cuboids and the pinned leaf (the leaf's full mask when the leaf
+	// itself was aggregated, resident or streamed).
 	ServedFrom lattice.Mask
 	// CacheHit reports the answer was already resident (no aggregation).
 	CacheHit bool
@@ -89,7 +94,7 @@ type Metrics struct {
 	// that did work; background fills are counted separately).
 	Computes int64
 	// LeafAggregations / AncestorAggregations split Computes by source:
-	// the pinned leaf vs a smaller cached ancestor.
+	// the leaf, pinned or streamed, vs a cached cuboid.
 	LeafAggregations     int64
 	AncestorAggregations int64
 	// ColdScans counts aggregations that streamed a cold leaf source,
@@ -129,33 +134,11 @@ type Metrics struct {
 	Policy string
 }
 
-// leafSource is where the finest cuboid lives. There are exactly two: a
-// resident *Cuboid, and a coldLeaf streaming a ColdSource (cold.go).
-type leafSource interface {
-	// pinned returns the resident leaf, nil when the leaf is streamed.
-	pinned() *Cuboid
-	// rows sizes the leaf for planning: cells when resident, table rows
-	// when streamed.
-	rows() int
-	// aggregate computes q from the leaf itself and records in st how:
-	// CellsScanned for a resident leaf, ColdScan and RowsScanned for a
-	// streamed one. cards is the code cardinality of every leaf column.
-	aggregate(ctx context.Context, q lattice.Mask, cards []int, sc *relation.Scratch, st *QueryStats) (*Cuboid, error)
-}
-
-func (c *Cuboid) pinned() *Cuboid { return c }
-func (c *Cuboid) rows() int       { return c.Rows() }
-
-func (c *Cuboid) aggregate(_ context.Context, q lattice.Mask, cards []int, sc *relation.Scratch, st *QueryStats) (*Cuboid, error) {
-	st.CellsScanned = c.Rows()
-	cols, qCards := project(cards, c.Mask, q)
-	return aggregateFrom(c, q, cols, qCards, sc), nil
-}
-
 // Server answers group-by queries over one leaf source. Safe for
 // concurrent use.
 type Server struct {
-	leaf  leafSource
+	leaf  *Cuboid      // the pinned leaf; nil when it is streamed
+	cold  ColdSource   // the streamed leaf; nil when it is pinned
 	full  lattice.Mask // the leaf's group-by: every dimension
 	cards []int        // per leaf column: code cardinality, for radix sizing
 	cache *cache
@@ -222,7 +205,7 @@ func NewServer(leaf *Cuboid, cards []int, budgetBytes int64) *Server {
 	return newServer(leaf, leaf.Mask, cards, budgetBytes)
 }
 
-func newServer(leaf leafSource, full lattice.Mask, cards []int, budgetBytes int64) *Server {
+func newServer(leaf *Cuboid, full lattice.Mask, cards []int, budgetBytes int64) *Server {
 	if budgetBytes <= 0 {
 		budgetBytes = DefaultBudgetBytes
 	}
@@ -241,7 +224,7 @@ func newServer(leaf leafSource, full lattice.Mask, cards []int, budgetBytes int6
 }
 
 // Leaf returns the pinned leaf cuboid (nil when the leaf is streamed).
-func (s *Server) Leaf() *Cuboid { return s.leaf.pinned() }
+func (s *Server) Leaf() *Cuboid { return s.leaf }
 
 // Cards returns the code cardinality of every leaf column: every code of
 // a cuboid this server answers is below its column's. The caller must not
@@ -255,7 +238,16 @@ func (s *Server) pinnedFor(q lattice.Mask) *Cuboid {
 	if q != s.full {
 		return nil
 	}
-	return s.leaf.pinned()
+	return s.leaf
+}
+
+// leafRows sizes the leaf for planning: cells when pinned, table rows
+// when streamed.
+func (s *Server) leafRows() int {
+	if s.leaf != nil {
+		return s.leaf.Rows()
+	}
+	return s.cold.Rows()
 }
 
 // SetBudget changes the cache byte budget, evicting as needed.
@@ -419,15 +411,34 @@ func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
+// PanicError is what a coalesced query gets when the computation it
+// waited on panicked: the leader's own call re-panics, and no waiter is
+// left blocked on a flight that will never land.
+type PanicError struct{ Value any }
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("serve: the computation panicked: %v", e.Value)
+}
+
 // fly runs the computation behind a registered flight and publishes its
-// outcome: the flight leaves the inflight map before waiters wake, so a
-// waiter that retries after a failure never rejoins the dead flight.
+// outcome, also when the computation panics: the flight leaves the
+// inflight map before waiters wake, so a waiter that retries after a
+// failure never rejoins the dead flight.
 func (s *Server) fly(ctx context.Context, q lattice.Mask, f *flight, background bool, planScore float64) {
+	defer func() {
+		v := recover()
+		if v != nil {
+			f.cub, f.err = nil, &PanicError{Value: v}
+		}
+		s.mu.Lock()
+		delete(s.inflight, q)
+		s.mu.Unlock()
+		close(f.done)
+		if v != nil {
+			panic(v)
+		}
+	}()
 	f.cub, f.stats, f.err = s.compute(ctx, q, background, planScore)
-	s.mu.Lock()
-	delete(s.inflight, q)
-	s.mu.Unlock()
-	close(f.done)
 }
 
 // project returns, for each attribute of q in ascending order, its column
@@ -448,63 +459,85 @@ func project(cards []int, src, q lattice.Mask) (cols, qCards []int) {
 	return cols, qCards
 }
 
-// derive aggregates q from the smallest resident ancestor, or from the
-// leaf source when no cached cuboid covers it, without touching the
-// cache's admission state. st reports where the answer came from and what
-// it cost; gen is the cache generation observed before any resident state
-// was read — admissions derived from this result must carry it.
-// Foreground derivations count toward the leaf/ancestor split; background
-// fills are counted by their caller.
-func (s *Server) derive(ctx context.Context, q lattice.Mask, background bool) (cub *Cuboid, st QueryStats, gen uint64, err error) {
-	// Capture the cache generation before reading any resident state: if
-	// a Reset or Invalidate lands while we aggregate, the admission below
-	// is rejected instead of resurrecting a cuboid the invalidation was
-	// meant to drop. The served answer itself stays valid — it was
-	// aggregated from the immutable leaf or an immutable ancestor copy.
-	gen = s.cache.generation()
+// sources returns what a miss derives from: the resident cuboids, read
+// without LRU promotion, and the pinned leaf.
+func (s *Server) sources() []*Cuboid {
+	srcs := s.cache.resident()
+	if s.leaf != nil {
+		srcs = append(srcs, s.leaf)
+	}
+	return srcs
+}
+
+// derive computes q from the cheapest of sources (cheapestSource), or by
+// streaming the cold leaf when none covers q. st reports where the answer
+// came from and what it cost; the caller does the counting (account).
+func (s *Server) derive(ctx context.Context, q lattice.Mask, sources []*Cuboid, sc *relation.Scratch) (cub *Cuboid, st QueryStats, err error) {
 	st = QueryStats{Query: q, ServedFrom: s.full}
-
-	sc := s.scratch.Get().(*relation.Scratch)
-	defer s.scratch.Put(sc)
-
-	// Any cached ancestor beats the leaf: it has at most as many cells and
-	// strictly fewer attributes (or, over a streamed leaf, needs no I/O).
-	resident := s.cache.residentMasks(make([]maskSize, 0, 16))
-	rows := make(map[lattice.Mask]int, len(resident))
-	masks := make([]lattice.Mask, 0, len(resident))
-	for _, ms := range resident {
-		rows[ms.mask] = ms.rows
-		masks = append(masks, ms.mask)
-	}
-	if from, ok := lattice.SmallestAncestor(q, masks, func(m lattice.Mask) int { return rows[m] }); ok {
-		// A miss here means it was evicted between selection and fetch;
-		// fall back to the leaf.
-		if src, live := s.cache.get(from); live {
-			if !background {
-				s.ancAggs.Add(1)
-			}
-			st.ServedFrom = from
-			st.CellsScanned = src.Rows()
-			cols, cards := project(s.cards, from, q)
-			cub = aggregateFrom(src, q, cols, cards, sc)
-		}
-	}
-	if cub == nil {
-		if cub, err = s.leaf.aggregate(ctx, q, s.cards, sc, &st); err != nil {
-			return nil, QueryStats{}, gen, err
-		}
-		// Cold counters first: Stats loads them after leafAggs, so a
-		// reader never sees a leaf aggregation without its cold scan.
-		if st.ColdScan {
-			s.coldScans.Add(1)
-			s.rowsScanned.Add(st.RowsScanned)
-		}
-		if !background {
-			s.leafAggs.Add(1)
-		}
+	if src := s.cheapestSource(q, sources); src != nil {
+		st.ServedFrom, st.CellsScanned = src.Mask, src.Rows()
+		cols, cards := project(s.cards, src.Mask, q)
+		cub = aggregateFrom(src, q, cols, cards, sc)
+	} else if cub, err = s.scanCold(ctx, q, sc, &st); err != nil {
+		return nil, QueryStats{}, err
 	}
 	st.ResultCells = cub.Rows()
-	return cub, st, gen, nil
+	return cub, st, nil
+}
+
+// cheapestSource is the one source rule: it picks the source q is derived
+// from most cheaply — its rows when q is a prefix of the source, so
+// aggregateFrom skips the sort, its rows times q's radix passes otherwise;
+// ties go to the lowest mask, so the choice is a pure function of the
+// source set. Nil when no source is a superset of q.
+func (s *Server) cheapestSource(q lattice.Mask, sources []*Cuboid) *Cuboid {
+	_, qCards := project(s.cards, q, q)
+	passes := relation.RadixPasses(qCards)
+	var best *Cuboid
+	bestCost := 0
+	for _, src := range sources {
+		if !q.SubsetOf(src.Mask) {
+			continue
+		}
+		cost := src.Rows()
+		if !q.PrefixOf(src.Mask) {
+			cost *= passes
+		}
+		if best == nil || cost < bestCost || cost == bestCost && src.Mask < best.Mask {
+			best, bestCost = src, cost
+		}
+	}
+	return best
+}
+
+// fromLeaf reports whether a derivation read the leaf, pinned or streamed,
+// rather than a cached cuboid (a streamed leaf's full-mask cuboid may be
+// cached like any other).
+func (s *Server) fromLeaf(st QueryStats) bool {
+	return st.ColdScan || st.ServedFrom == s.full && s.leaf != nil
+}
+
+// account counts one derivation of q: the cold-scan counters first (Stats
+// loads them after leafAggs, so a reader never sees a leaf aggregation
+// without its cold scan), then a background fill, or a foreground miss
+// split by source, into the counters and the stats table.
+func (s *Server) account(q lattice.Mask, cub *Cuboid, st QueryStats, background bool) {
+	if st.ColdScan {
+		s.coldScans.Add(1)
+		s.rowsScanned.Add(st.RowsScanned)
+	}
+	rows, size, cost := cub.Rows(), cub.SizeBytes(), st.deriveCost()
+	switch {
+	case background:
+		s.bgFills.Add(1)
+		s.stats.recordFill(q, rows, size, cost)
+		return
+	case s.fromLeaf(st):
+		s.leafAggs.Add(1)
+	default:
+		s.ancAggs.Add(1)
+	}
+	s.stats.recordMiss(q, rows, size, cost)
 }
 
 // deriveCost is the work one derivation took, in the units the stats table
@@ -517,19 +550,25 @@ func (st QueryStats) deriveCost() int { return st.CellsScanned + int(st.RowsScan
 // table as fills — not demand — and admit with the planner's score instead
 // of the admission score.
 func (s *Server) compute(ctx context.Context, q lattice.Mask, background bool, planScore float64) (*Cuboid, QueryStats, error) {
-	cub, stats, gen, err := s.derive(ctx, q, background)
+	// Capture the cache generation before reading any resident state: if
+	// a Reset or Invalidate lands while we aggregate, the admission below
+	// is rejected instead of resurrecting a cuboid the invalidation was
+	// meant to drop. The served answer itself stays valid — it was
+	// aggregated from the immutable leaf or an immutable ancestor copy.
+	gen := s.cache.generation()
+	sc := s.scratch.Get().(*relation.Scratch)
+	cub, stats, err := s.derive(ctx, q, s.sources(), sc)
+	s.scratch.Put(sc)
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
-	rows, size, cost := cub.Rows(), cub.SizeBytes(), stats.deriveCost()
-
+	if !s.fromLeaf(stats) {
+		s.cache.get(stats.ServedFrom) // the source was used: promote it
+	}
+	s.account(q, cub, stats, background)
 	score := planScore
-	if background {
-		s.bgFills.Add(1)
-		s.stats.recordFill(q, rows, size, cost)
-	} else {
-		s.stats.recordMiss(q, rows, size, cost)
-		score = admissionScore(s.stats.demand(q), cost, rows, size)
+	if !background {
+		score = admissionScore(s.stats.demand(q), stats.deriveCost(), cub.Rows(), cub.SizeBytes())
 	}
 
 	if s.testBeforeAdmit != nil {
@@ -606,7 +645,7 @@ func (s *Server) Replan() {
 	res := planAdaptive(planInput{
 		stats:    s.stats.snapshot(),
 		leafMask: s.full,
-		leafRows: s.leaf.rows(),
+		leafRows: s.leafRows(),
 		cards:    s.cards,
 		budget:   s.Budget(),
 		seed:     opt.Seed,
@@ -671,9 +710,9 @@ func (s *Server) Warm(cubs []*Cuboid) {
 // whose derivation fails (a cold scan error) is reported as skipped.
 //
 // The computation is the paper's ASL in miniature (§3.3): one task per
-// cuboid, top-down by lattice level, so each level derives from the
-// cheapest of the pinned leaf, the cuboids resident at the start and those
-// built at earlier levels (cheapestSource); each level's tasks are
+// cuboid, top-down by lattice level, so each level derives by the one
+// source rule from the pinned leaf, the cuboids resident at the start and
+// those built at earlier levels; each level's tasks are
 // demand-scheduled over GOMAXPROCS rank goroutines. Every admission
 // carries the one cache generation read before the first derivation, so a
 // Reset or Invalidate during the warm rejects the whole batch.
@@ -700,10 +739,7 @@ func (s *Server) Precompute(masks []lattice.Mask) (admitted int, skipped []latti
 	}
 
 	gen := s.cache.generation()
-	sources := s.cache.resident()
-	if leaf := s.leaf.pinned(); leaf != nil {
-		sources = append(sources, leaf)
-	}
+	sources := s.sources()
 	order := slices.Clone(todo)
 	slices.SortFunc(order, func(a, b *pre) int {
 		if c := b.mask.Count() - a.mask.Count(); c != 0 {
@@ -727,7 +763,7 @@ func (s *Server) Precompute(masks []lattice.Mask) (admitted int, skipped []latti
 				defer s.scratch.Put(sc)
 				for i := int(next.Add(1)) - 1; i < len(level); i = int(next.Add(1)) - 1 {
 					p := level[i]
-					p.cub, p.st, p.err = s.deriveFrom(p.mask, sources, sc)
+					p.cub, p.st, p.err = s.derive(context.Background(), p.mask, sources, sc)
 				}
 			}()
 		}
@@ -736,13 +772,8 @@ func (s *Server) Precompute(masks []lattice.Mask) (admitted int, skipped []latti
 			if p.err != nil {
 				continue
 			}
-			if p.st.ColdScan {
-				s.coldScans.Add(1)
-				s.rowsScanned.Add(p.st.RowsScanned)
-			}
-			s.bgFills.Add(1)
-			s.stats.recordFill(p.mask, p.cub.Rows(), p.cub.SizeBytes(), p.st.deriveCost())
-			p.score = admissionScore(1, s.leaf.rows(), p.cub.Rows(), p.cub.SizeBytes())
+			s.account(p.mask, p.cub, p.st, true)
+			p.score = admissionScore(1, s.leafRows(), p.cub.Rows(), p.cub.SizeBytes())
 			sources = append(sources, p.cub)
 		}
 		if s.testBeforeAdmit != nil {
@@ -777,46 +808,6 @@ func (s *Server) Precompute(masks []lattice.Mask) (admitted int, skipped []latti
 		}
 	}
 	return admitted, skipped
-}
-
-// deriveFrom computes q from the cheapest of sources (immutable cuboids,
-// read without the cache), or by streaming the leaf source when none
-// covers q; st records the work (deriveCost) and any cold scan. The
-// caller does the counting.
-func (s *Server) deriveFrom(q lattice.Mask, sources []*Cuboid, sc *relation.Scratch) (cub *Cuboid, st QueryStats, err error) {
-	src := s.cheapestSource(q, sources)
-	if src == nil {
-		cub, err = s.leaf.aggregate(context.Background(), q, s.cards, sc, &st)
-		return cub, st, err
-	}
-	st.CellsScanned = src.Rows()
-	cols, cards := project(s.cards, src.Mask, q)
-	return aggregateFrom(src, q, cols, cards, sc), st, nil
-}
-
-// cheapestSource picks the source q is derived from most cheaply: its
-// rows when q is a prefix of the source, so aggregateFrom skips the sort,
-// its rows times q's radix passes otherwise; ties go to the lowest mask,
-// so the plan is a pure function of the source set. Nil when no source is
-// a superset of q.
-func (s *Server) cheapestSource(q lattice.Mask, sources []*Cuboid) *Cuboid {
-	_, qCards := project(s.cards, q, q)
-	passes := relation.RadixPasses(qCards)
-	var best *Cuboid
-	bestCost := 0
-	for _, src := range sources {
-		if !q.SubsetOf(src.Mask) {
-			continue
-		}
-		cost := src.Rows()
-		if !q.PrefixOf(src.Mask) {
-			cost *= passes
-		}
-		if best == nil || cost < bestCost || cost == bestCost && src.Mask < best.Mask {
-			best, bestCost = src, cost
-		}
-	}
-	return best
 }
 
 // CuboidStats returns the per-cuboid stats table — every group-by shape
@@ -870,8 +861,8 @@ func (s *Server) Stats() Metrics {
 	m.Replans = s.replans.Load()
 	m.ColdScans = s.coldScans.Load()
 	m.RowsScanned = s.rowsScanned.Load()
-	if leaf := s.leaf.pinned(); leaf != nil {
-		m.LeafBytes = leaf.SizeBytes()
+	if s.leaf != nil {
+		m.LeafBytes = s.leaf.SizeBytes()
 	}
 	m.Policy = s.opt.Load().Policy.String()
 	return m

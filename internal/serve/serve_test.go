@@ -150,27 +150,94 @@ func TestAncestorRewriting(t *testing.T) {
 	}
 }
 
-// TestSmallestAncestorWins: with two resident ancestors the smaller one
-// is chosen.
-func TestSmallestAncestorWins(t *testing.T) {
-	cards := []int{3, 4, 500, 600}
-	leaf, _ := buildLeaf(cards, 6000, 5)
-	srv := NewServer(leaf, cards, 8<<20)
-	big := lattice.MaskOf(0, 1, 2)   // ~thousands of cells
-	small := lattice.MaskOf(0, 1, 3) // also superset of {0,1}
-	cubBig, _, _ := srv.Query(big)
-	cubSmall, _, _ := srv.Query(small)
-	want := big
-	if cubSmall.Rows() < cubBig.Rows() {
-		want = small
+// productLeaf is the leaf holding every tuple of the cards' cross product
+// once, in tuple order, so each cuboid's row count is the product of its
+// attributes' cards.
+func productLeaf(cards []int) *Cuboid {
+	w := len(cards)
+	leaf := &Cuboid{Mask: lattice.Mask(1)<<uint(w) - 1, Width: w}
+	key := make([]uint32, w)
+	for {
+		leaf.Keys = append(leaf.Keys, key...)
+		st := agg.NewState()
+		st.Add(float64(len(leaf.States) % 7))
+		leaf.States = append(leaf.States, st)
+		d := w - 1
+		for ; d >= 0; d-- {
+			if key[d]++; int(key[d]) < cards[d] {
+				break
+			}
+			key[d] = 0
+		}
+		if d < 0 {
+			return leaf
+		}
 	}
-	_, stats, err := srv.Query(lattice.MaskOf(0, 1))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestCheapestSource table-tests the one source rule on both paths that
+// use it: a foreground miss (QueryStats.ServedFrom) and the bulk warm
+// (the derive cost the stats table records). The query is {1} with a card
+// of 300, so sorting costs two radix passes, and a parent it is a prefix
+// of ({1,2}, {1,3}) costs its rows while one it is not ({0,1}, the leaf)
+// costs twice its rows.
+func TestCheapestSource(t *testing.T) {
+	q := lattice.MaskOf(1)
+	cases := []struct {
+		name     string
+		cards    []int
+		resident []lattice.Mask
+		want     lattice.Mask // the leaf's full mask for the leaf
+	}{
+		{"prefix parent beats a smaller non-prefix one", []int{2, 300, 3, 4},
+			[]lattice.Mask{lattice.MaskOf(0, 1), lattice.MaskOf(1, 2)}, lattice.MaskOf(1, 2)},
+		{"prefix parent at passes× the rows ties, lower mask wins", []int{2, 300, 4, 3},
+			[]lattice.Mask{lattice.MaskOf(1, 2), lattice.MaskOf(0, 1)}, lattice.MaskOf(0, 1)},
+		{"non-prefix parent wins beyond passes× the rows", []int{2, 300, 5, 4},
+			[]lattice.Mask{lattice.MaskOf(0, 1), lattice.MaskOf(1, 2)}, lattice.MaskOf(0, 1)},
+		{"equal costs go to the lower mask", []int{2, 300, 3, 3},
+			[]lattice.Mask{lattice.MaskOf(1, 3), lattice.MaskOf(1, 2)}, lattice.MaskOf(1, 2)},
+		{"pinned leaf when no resident covers", []int{2, 300, 3, 4},
+			[]lattice.Mask{lattice.MaskOf(0, 2)}, lattice.MaskOf(0, 1, 2, 3)},
+		{"pinned leaf loses a tie to a resident of its size", []int{2, 300, 3, 1},
+			[]lattice.Mask{lattice.MaskOf(0, 1, 2)}, lattice.MaskOf(0, 1, 2)},
 	}
-	if stats.ServedFrom != want {
-		t.Fatalf("served from %b, want the smaller ancestor %b (big=%d small=%d cells)",
-			stats.ServedFrom, want, cubBig.Rows(), cubSmall.Rows())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			leaf := productLeaf(tc.cards)
+			serverWith := func() *Server {
+				srv := NewServer(leaf, tc.cards, 1<<30)
+				for _, m := range tc.resident {
+					if _, _, err := srv.Query(m); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return srv
+			}
+			wantRows := 1
+			for _, d := range tc.want.Dims() {
+				wantRows *= tc.cards[d]
+			}
+
+			cub, st, err := serverWith().Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.ServedFrom != tc.want || st.CellsScanned != wantRows {
+				t.Fatalf("query served from %b (%d cells), want %b (%d)", st.ServedFrom, st.CellsScanned, tc.want, wantRows)
+			}
+			checkCuboid(t, leaf, q, cub)
+
+			srv := serverWith()
+			if n, skipped := srv.Precompute([]lattice.Mask{q}); n != 1 || len(skipped) != 0 {
+				t.Fatalf("warm admitted %d, skipped %v", n, skipped)
+			}
+			for _, cs := range srv.CuboidStats() {
+				if cs.Mask == q && cs.DeriveCells != wantRows {
+					t.Fatalf("warm derived from %d cells, want %b's %d", cs.DeriveCells, tc.want, wantRows)
+				}
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -130,28 +131,89 @@ func TestPrecomputeTopDownMatchesLeaf(t *testing.T) {
 	}
 }
 
-// TestAggregateFromEveryAncestor: aggregateFrom over every (ancestor,
-// query) pair of the lattice — the prefix pairs, which skip the sort, and
-// the rest, the leaf as ancestor included — equals the reference.
+// TestAggregateFromEveryAncestor: each producer of grouped code rows
+// (relation.GroupRows) over every (ancestor, query) pair of the lattice —
+// the prefix pairs, which skip the sort, and the rest, the leaf as
+// ancestor included — equals the reference. aggregateFrom rolls up a
+// resident ancestor; Delta.Project projects a leaf-keyed delta onto the
+// ancestor and then onto the query, its added and deleted sides each
+// checked; the cold fold has only the table itself as ancestor and folds
+// it in chunks of 1, 7 and every row.
 func TestAggregateFromEveryAncestor(t *testing.T) {
 	leaf := buildWarmLeaf(2000, 2)
-	sc := relation.NewScratch()
-	prefixes := 0
-	for a := lattice.Mask(0); a <= leaf.Mask; a++ {
-		anc := fromLeaf(leaf, a)
-		for q := lattice.Mask(0); q <= a; q++ {
-			if !q.SubsetOf(a) {
-				continue
-			}
-			if q.PrefixOf(a) {
-				prefixes++
-			}
-			cols, cards := project(warmCards, a, q)
-			sameCuboid(t, aggregateFrom(anc, q, cols, cards, sc), refCuboid(leaf, q))
-		}
+	rng := rand.New(rand.NewSource(2))
+	del := &Cuboid{Mask: leaf.Mask, Width: leaf.Width, Keys: leaf.Keys, States: make([]agg.State, leaf.Rows())}
+	for i := range del.States {
+		del.States[i] = agg.NewState()
+		del.States[i].Add(rng.Float64() * 1000)
 	}
-	if prefixes == 0 {
-		t.Fatal("no prefix pair exercised")
+	delta := &Delta{Width: leaf.Width, Keys: leaf.Keys, Add: leaf.States, Del: del.States}
+	// The cold table is the leaf's rows, shuffled so chunks interleave.
+	table := &memColdSource{width: leaf.Width}
+	for _, i := range rng.Perm(leaf.Rows()) {
+		if leaf.States[i].Count != 1 {
+			t.Fatalf("leaf cell %d holds %d rows; the table needs one each", i, leaf.States[i].Count)
+		}
+		table.keys = append(table.keys, leaf.Row(i))
+		table.meas = append(table.meas, leaf.States[i].Sum)
+	}
+	sc := relation.NewScratch()
+
+	type producer struct {
+		name string
+		run  func(t *testing.T, anc *Cuboid, q lattice.Mask)
+	}
+	producers := []producer{
+		{"aggregateFrom", func(t *testing.T, anc *Cuboid, q lattice.Mask) {
+			cols, cards := project(warmCards, anc.Mask, q)
+			sameCuboid(t, aggregateFrom(anc, q, cols, cards, sc), refCuboid(leaf, q))
+		}},
+		{"Delta.Project", func(t *testing.T, anc *Cuboid, q lattice.Mask) {
+			cols, _ := project(warmCards, anc.Mask, q)
+			_, ancCards := project(warmCards, anc.Mask, anc.Mask)
+			d := delta.Project(anc.Mask.Dims(), warmCards, sc).Project(cols, ancCards, sc)
+			sameCuboid(t, &Cuboid{Mask: q, Width: d.Width, Keys: d.Keys, States: d.Add}, refCuboid(leaf, q))
+			sameCuboid(t, &Cuboid{Mask: q, Width: d.Width, Keys: d.Keys, States: d.Del}, refCuboid(del, q))
+		}},
+	}
+	for _, chunk := range []int{1, 7, leaf.Rows()} {
+		producers = append(producers, producer{fmt.Sprintf("cold fold/chunk=%d", chunk), func(t *testing.T, anc *Cuboid, q lattice.Mask) {
+			if anc.Mask != leaf.Mask {
+				return
+			}
+			table.chunk = chunk
+			srv, err := NewColdServer(table, warmCards, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st QueryStats
+			cub, err := srv.scanCold(context.Background(), q, sc, &st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameCuboid(t, cub, refCuboid(leaf, q))
+		}})
+	}
+
+	for _, p := range producers {
+		t.Run(p.name, func(t *testing.T) {
+			prefixes := 0
+			for a := lattice.Mask(0); a <= leaf.Mask; a++ {
+				anc := fromLeaf(leaf, a)
+				for q := lattice.Mask(0); q <= a; q++ {
+					if !q.SubsetOf(a) {
+						continue
+					}
+					if q.PrefixOf(a) {
+						prefixes++
+					}
+					p.run(t, anc, q)
+				}
+			}
+			if prefixes == 0 {
+				t.Fatal("no prefix pair exercised")
+			}
+		})
 	}
 }
 

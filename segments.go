@@ -123,7 +123,7 @@ func dictOnlySchema(tab *segment.Table, dims []int, noun string) schema {
 
 // ColdCube answers group-by queries over a flushed segment table without
 // loading the leaf into memory: resident cuboids live in a byte-budgeted
-// cache, misses aggregate from the smallest resident ancestor, and only
+// cache, misses aggregate from the cheapest resident ancestor, and only
 // when no ancestor covers the query is the cold store streamed — reading
 // just the queried columns. It is the same serving core as Materialized
 // over a streamed leaf, read-only at version 0. Safe for concurrent
